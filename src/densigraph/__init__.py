@@ -7,7 +7,5 @@ long-range-dependence analysis. The synth module provides seeded oracles
 noise) that the test suite builds on.
 """
 
-from .kernels import BACKEND as KERNEL_BACKEND
-
 __version__ = "0.1.0"
-__all__ = ["KERNEL_BACKEND", "__version__"]
+__all__ = ["__version__"]

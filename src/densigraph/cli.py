@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -30,6 +31,7 @@ import numpy as np
 from . import density as density_mod
 from . import ingestion, lrd, quality, statfit, synth
 from .errors import DensigraphError
+from .pgmio import decode_image, write_p5
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -44,8 +46,6 @@ class Config:
     cluster_k: int = 4
     seed: int = 0
     tz_offsets: dict = field(default_factory=dict)  # city -> hours
-    ks_thresholds: tuple[float, float] = (0.03, 0.05)
-    jobs: int = 0  # 0 = logical CPUs
 
     @staticmethod
     def load(path: str | None, overrides: list[str]) -> "Config":
@@ -60,8 +60,6 @@ class Config:
                 cluster_k=int(obj.get("cluster_k", 4)),
                 seed=int(obj.get("seed", 0)),
                 tz_offsets={k: float(v) for k, v in obj.get("tz_offsets", {}).items()},
-                ks_thresholds=tuple(obj.get("ks_thresholds", (0.03, 0.05))),
-                jobs=int(obj.get("jobs", 0)),
             )
         env_root = os.environ.get("DENSIGRAPH_ROOT")
         if env_root:
@@ -74,10 +72,16 @@ class Config:
                 cfg = replace(cfg, **{key: Path(value)})
             elif key in ("tau",):
                 cfg = replace(cfg, tau=float(value))
-            elif key in ("window_z", "cluster_k", "seed", "jobs"):
+            elif key in ("window_z", "cluster_k", "seed"):
                 cfg = replace(cfg, **{key: int(value)})
             else:
                 raise ValueError(f"unknown config key {key!r}")
+        # the pixel kernel drops residuals <= tau, so tau < 0 would let
+        # negative residuals into the trace
+        if not (math.isfinite(cfg.tau) and cfg.tau >= 0):
+            raise ValueError(f"tau must be finite and >= 0, got {cfg.tau}")
+        if cfg.window_z < 2:
+            raise ValueError(f"window_z must be >= 2, got {cfg.window_z}")
         return cfg
 
     def describe(self) -> str:
@@ -90,16 +94,13 @@ class Config:
                 "cluster_k": self.cluster_k,
                 "seed": self.seed,
                 "tz_offsets": self.tz_offsets,
-                "ks_thresholds": list(self.ks_thresholds),
-                "jobs": self.jobs,
             },
             sort_keys=True,
         )
 
 
 def _log(msg: str) -> None:
-    ts = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    print(f"{ts} {msg}", file=sys.stderr)
+    print(f"{ingestion.format_rfc3339(datetime.now(timezone.utc))} {msg}", file=sys.stderr)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -113,10 +114,6 @@ def _atomic_write(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _jobs(cfg: Config) -> int:
-    return cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
 
 
 def _stored_records(cfg: Config, city: str) -> list[ingestion.ManifestRecord]:
@@ -143,17 +140,11 @@ def _load_frames(cfg: Config, city: str, camera_id: str) -> list[density_mod.Fra
         if rec.relative_path in removed:
             continue
         data = (cfg.data_root / rec.relative_path).read_bytes()
-        img = density_mod_decode(data)
+        img = decode_image(data)
         if img is None:
             continue  # undecodable frames are quality-module territory
         frames.append(density_mod.Frame(camera_id, rec.captured_at, img))
     return frames
-
-
-def density_mod_decode(data: bytes):
-    from .pgmio import decode_image
-
-    return decode_image(data)
 
 
 # --- subcommands ---
@@ -182,8 +173,6 @@ def cmd_synth(cfg: Config, args) -> int:
     )
     t0 = datetime.fromisoformat(args.t0).replace(tzinfo=timezone.utc)
     store = ingestion.FrameStore(cfg.data_root)
-    from .pgmio import write_p5
-
     count = 0
     for frame in synth.frames_from_spec(spec, args.camera_id, t0, args.step):
         store.store_frame(camera, frame.captured_at, write_p5(frame.pixels))
@@ -246,7 +235,8 @@ def cmd_density(cfg: Config, args) -> int:
         _atomic_write(out, density_mod.write_trace_csv(records))
         return len(records)
 
-    with ThreadPoolExecutor(max_workers=_jobs(cfg)) as pool:
+    # one worker per CPU bounds how many cameras' frames are resident at once
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         counts = list(pool.map(one, cameras))
     _log(f"density: {sum(counts)} records across {len(cameras)} cameras")
     return 0
@@ -385,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="KEY=VALUE",
         dest="overrides",
-        help="override a config field (data_root, catalog_path, tau, window_z, cluster_k, seed, jobs)",
+        help="override a config field (data_root, catalog_path, tau, window_z, cluster_k, seed)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

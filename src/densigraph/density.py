@@ -9,13 +9,14 @@ normalized by the saturation sum m*n*255.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import InsufficientFrames, ShapeMismatch
+from .ingestion import format_rfc3339, parse_rfc3339
 from .pgmio import to_grayscale  # re-exported: grayscale is part of this stage
 
 __all__ = [
@@ -120,25 +121,17 @@ def process_sequence(
     frames: Sequence[Frame],
     z: int = DEFAULT_WINDOW,
     tau: float = DEFAULT_TAU,
-    recompute_every: int | None = None,
 ) -> list[DensityRecord]:
     """Run the full density pipeline over a time-ordered frame sequence.
 
-    The background is built once from the first z frames and held constant;
-    pass recompute_every=k to rebuild it from the trailing z frames every k
-    frames instead (sliding-window mode, off by default).
+    The background is built once from the first z frames and held constant.
     """
     if len(frames) < z:
         raise InsufficientFrames(f"need >= {z} frames, got {len(frames)}")
     frames = sorted(frames, key=lambda f: f.captured_at)
     _check_shapes(frames)
     bg = build_background(frames, z)
-    records = []
-    for i, frame in enumerate(frames):
-        if recompute_every and i >= z and i % recompute_every == 0:
-            bg = build_background(frames[i - z + 1 : i + 1], z)
-        records.append(_frame_density(frame, bg, tau))
-    return records
+    return [_frame_density(frame, bg, tau) for frame in frames]
 
 
 # --- trace CSV (camera_id,captured_at,raw_density,normalized) ---
@@ -146,15 +139,11 @@ def process_sequence(
 TRACE_HEADER = "camera_id,captured_at,raw_density,normalized"
 
 
-def _rfc3339(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def write_trace_csv(records: Iterable[DensityRecord]) -> str:
     lines = [TRACE_HEADER]
     for r in records:
         lines.append(
-            f"{r.camera_id},{_rfc3339(r.captured_at)},{r.raw_density},{r.normalized:.6f}"
+            f"{r.camera_id},{format_rfc3339(r.captured_at)},{r.raw_density},{r.normalized:.6f}"
         )
     return "\n".join(lines) + "\n"
 
@@ -166,12 +155,5 @@ def read_trace_csv(text: str) -> list[DensityRecord]:
     out = []
     for line in lines[1:]:
         cam, ts, d, norm = line.split(",")
-        out.append(
-            DensityRecord(
-                cam,
-                datetime.strptime(ts, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc),
-                int(d),
-                float(norm),
-            )
-        )
+        out.append(DensityRecord(cam, parse_rfc3339(ts), int(d), float(norm)))
     return out

@@ -65,7 +65,7 @@ class ManifestRecord:
         return json.dumps(
             {
                 "camera_id": self.camera_id,
-                "captured_at": _rfc3339(self.captured_at),
+                "captured_at": format_rfc3339(self.captured_at),
                 "relative_path": self.relative_path,
                 "byte_size": self.byte_size,
                 "content_hash": self.content_hash,
@@ -79,9 +79,7 @@ class ManifestRecord:
         obj = json.loads(line)
         return ManifestRecord(
             camera_id=obj["camera_id"],
-            captured_at=datetime.strptime(
-                obj["captured_at"], "%Y-%m-%dT%H:%M:%SZ"
-            ).replace(tzinfo=timezone.utc),
+            captured_at=parse_rfc3339(obj["captured_at"]),
             relative_path=obj["relative_path"],
             byte_size=obj["byte_size"],
             content_hash=obj["content_hash"],
@@ -89,8 +87,15 @@ class ManifestRecord:
         )
 
 
-def _rfc3339(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+RFC3339 = "%Y-%m-%dT%H:%M:%SZ"  # the one timestamp format of manifests and traces
+
+
+def format_rfc3339(ts: datetime) -> str:
+    return ts.astimezone(timezone.utc).strftime(RFC3339)
+
+
+def parse_rfc3339(text: str) -> datetime:
+    return datetime.strptime(text, RFC3339).replace(tzinfo=timezone.utc)
 
 
 class Skip(NamedTuple):

@@ -1,19 +1,23 @@
-"""Backend selection for the pixel kernels.
+"""Numpy pixel kernels for the density stage.
 
-The compiled extension is preferred; set DENSIGRAPH_PURE_PYTHON=1 to force
-the numpy fallback (used by the benchmark for a fair comparison).
+The threshold test uses the raw float difference frame - bg, and surviving
+residuals are rounded half-to-even (np.rint), so highpass_sum equals the sum
+of highpass_image for any tau >= 0.
 """
 
-import os
+import numpy as np
 
-if os.environ.get("DENSIGRAPH_PURE_PYTHON"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
 
-BACKEND = _impl.BACKEND
-highpass_image = _impl.highpass_image
-highpass_sum = _impl.highpass_sum
+def highpass_image(frame, bg, tau):
+    """Thresholded residual frame - bg as uint8; values <= tau map to 0."""
+    diff = frame.astype(np.float64) - bg
+    out = np.where(diff > tau, np.rint(diff), 0.0)
+    return out.astype(np.uint8)
+
+
+def highpass_sum(frame, bg, tau):
+    """Fused residual + threshold + sum; returns (density, active_pixels)."""
+    diff = frame.astype(np.float64) - bg
+    mask = diff > tau
+    d = int(np.rint(diff[mask]).sum())
+    return d, int(mask.sum())

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from densigraph import synth
-from densigraph.cli import run
+from densigraph.cli import Config, run
 
 
 def run_ok(*argv):
@@ -109,6 +109,25 @@ class TestExitCodes:
 
     def test_bad_config_key(self, tmp_path):
         assert run(["--set", "bogus=1", "density", "--city", "x"]) == 1
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["tau=-50", "tau=nan", "tau=inf", "window_z=1", "window_z=0", "jobs=2"],
+    )
+    def test_bad_config_value(self, tmp_path, setting, capsys):
+        argv = ["--set", f"data_root={tmp_path}", "--set", setting, "density", "--city", "x"]
+        assert run(argv) == 1
+        assert setting.partition("=")[0] in capsys.readouterr().err
+
+    def test_config_file_ignores_unknown_keys(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"jobs": 2, "tau": 10}))
+        assert Config.load(str(cfg), []).tau == 10.0
+
+    def test_bad_config_file_value(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"tau": -1}))
+        assert run(["--config", str(cfg), "density", "--city", "x"]) == 1
 
     def test_env_var_overrides_file(self, tmp_path, monkeypatch, corpus):
         cfg = tmp_path / "c.json"

@@ -3,7 +3,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from densigraph import _kernels_py, synth
+from densigraph import kernels, synth
 from densigraph.density import (
     BackgroundModel,
     Frame,
@@ -134,22 +134,31 @@ class TestDensity:
         assert d == 200 and norm == pytest.approx(200 / 25500)
 
 
-class TestKernelBackends:
-    def test_backends_agree_bit_exactly(self):
-        from densigraph import kernels
-
+class TestKernelContract:
+    def test_sum_equals_image_sum_and_mask_count(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            frame = rng.integers(0, 256, (17, 23)).astype(np.uint8)
-            bg = rng.uniform(0, 255, (17, 23))
-            tau = float(rng.uniform(0, 60))
-            np.testing.assert_array_equal(
-                kernels.highpass_image(frame, bg, tau),
-                _kernels_py.highpass_image(frame, bg, tau),
+        shape = (17, 23)
+        for tau in [0.0, 0.5, 25.0, 60.0] + list(rng.uniform(0, 60, 16)):
+            frame = rng.integers(0, 256, shape).astype(np.uint8)
+            # a third of the background sits on x.5, so residuals land exactly on .5
+            bg = np.where(
+                rng.random(shape) < 1 / 3,
+                rng.integers(0, 255, shape) + 0.5,
+                rng.uniform(0, 255, shape),
             )
-            assert kernels.highpass_sum(frame, bg, tau) == _kernels_py.highpass_sum(
-                frame, bg, tau
+            image = kernels.highpass_image(frame, bg, tau)
+            assert kernels.highpass_sum(frame, bg, tau) == (
+                int(image.astype(np.int64).sum()),
+                int(((frame - bg) > tau).sum()),
             )
+
+    def test_half_residuals_round_to_even(self):
+        frame = np.array([[31, 32, 200]], dtype=np.uint8)
+        bg = np.full((1, 3), 0.5)
+        np.testing.assert_array_equal(
+            kernels.highpass_image(frame, bg, 25.0), [[30, 32, 200]]
+        )
+        assert kernels.highpass_sum(frame, bg, 25.0) == (262, 3)
 
 
 class TestProcessSequence:
