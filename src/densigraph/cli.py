@@ -25,12 +25,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import density as density_mod
 from . import ingestion, lrd, quality, statfit, synth
-from .errors import DensigraphError
+from .errors import CorruptTrace, DensigraphError
 from .pgmio import decode_image, write_p5
 
 USAGE_ERROR = 1
@@ -131,20 +132,15 @@ def _removed_paths(cfg: Config, city: str) -> set[str]:
     return {line.split(",")[0] for line in lines}
 
 
-def _load_frames(cfg: Config, city: str, camera_id: str) -> list[density_mod.Frame]:
-    removed = _removed_paths(cfg, city)
-    frames = []
-    for rec in _stored_records(cfg, city):
-        if rec.camera_id != camera_id or rec.status != "stored":
-            continue
-        if rec.relative_path in removed:
-            continue
-        data = (cfg.data_root / rec.relative_path).read_bytes()
-        img = decode_image(data)
+def _decoded_frames(
+    cfg: Config, records: list[ingestion.ManifestRecord]
+) -> Iterator[density_mod.Frame]:
+    """Read and decode one stored frame at a time, in the records' order."""
+    for rec in records:
+        img = decode_image((cfg.data_root / rec.relative_path).read_bytes())
         if img is None:
             continue  # undecodable frames are quality-module territory
-        frames.append(density_mod.Frame(camera_id, rec.captured_at, img))
-    return frames
+        yield density_mod.Frame(rec.camera_id, rec.captured_at, img)
 
 
 # --- subcommands ---
@@ -200,12 +196,16 @@ def cmd_clean(cfg: Config, args) -> int:
     model = None
     if args.labels:
         labeled_spec = json.loads(Path(args.labels).read_text())
-        labeled = quality.LabeledSet(
-            tuple(
-                (features_by_path[item["relative_path"]], item["label"])
-                for item in labeled_spec
-            )
-        )
+        pairs = []
+        for item in labeled_spec:
+            feats = features_by_path.get(item["relative_path"])
+            if feats is None:
+                raise DensigraphError(
+                    f"{args.labels}: relative_path {item['relative_path']!r}"
+                    f" is not in the {args.city} manifest"
+                )
+            pairs.append((feats, item["label"]))
+        labeled = quality.LabeledSet(tuple(pairs))
         unlabeled = [
             e.features
             for e in entries
@@ -221,24 +221,27 @@ def cmd_clean(cfg: Config, args) -> int:
     return 0
 
 
-def _cameras_in_city(cfg: Config, city: str) -> list[str]:
-    return sorted({r.camera_id for r in _stored_records(cfg, city)})
-
-
 def cmd_density(cfg: Config, args) -> int:
-    cameras = _cameras_in_city(cfg, args.city)
+    removed = _removed_paths(cfg, args.city)
+    # scan_manifest sorts by (camera_id, captured_at): cameras come in order,
+    # and each camera's records in capture order
+    by_camera: dict[str, list[ingestion.ManifestRecord]] = {}
+    for rec in _stored_records(cfg, args.city):
+        kept = by_camera.setdefault(rec.camera_id, [])
+        if rec.status == "stored" and rec.relative_path not in removed:
+            kept.append(rec)
 
     def one(camera_id: str) -> int:
-        frames = _load_frames(cfg, args.city, camera_id)
+        frames = _decoded_frames(cfg, by_camera[camera_id])
         records = density_mod.process_sequence(frames, z=cfg.window_z, tau=cfg.tau)
         out = cfg.data_root / args.city / "density" / f"{camera_id}.csv"
         _atomic_write(out, density_mod.write_trace_csv(records))
         return len(records)
 
-    # one worker per CPU bounds how many cameras' frames are resident at once
+    # each worker holds at most window_z decoded frames of its camera
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        counts = list(pool.map(one, cameras))
-    _log(f"density: {sum(counts)} records across {len(cameras)} cameras")
+        counts = list(pool.map(one, by_camera))
+    _log(f"density: {sum(counts)} records across {len(by_camera)} cameras")
     return 0
 
 
@@ -246,10 +249,13 @@ def _read_city_traces(cfg: Config, city: str) -> dict[str, list]:
     folder = cfg.data_root / city / "density"
     if not folder.exists():
         raise DensigraphError(f"run the density stage first: {folder} missing")
-    return {
-        p.stem: density_mod.read_trace_csv(p.read_text())
-        for p in sorted(folder.glob("*.csv"))
-    }
+    traces = {}
+    for p in sorted(folder.glob("*.csv")):
+        try:
+            traces[p.stem] = density_mod.read_trace_csv(p.read_text())
+        except ValueError as exc:
+            raise CorruptTrace(f"{p}: {exc}") from exc
+    return traces
 
 
 def cmd_fit(cfg: Config, args) -> int:

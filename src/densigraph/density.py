@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
 from . import kernels
-from .errors import InsufficientFrames, ShapeMismatch
+from .errors import InsufficientFrames, OutOfOrderTimestamp, ShapeMismatch
 from .ingestion import format_rfc3339, parse_rfc3339
 from .pgmio import to_grayscale  # re-exported: grayscale is part of this stage
 
@@ -67,28 +68,38 @@ class DensityRecord:
     normalized: float
 
 
-def _check_shapes(frames: Sequence[Frame]) -> None:
-    first = frames[0]
-    for f in frames[1:]:
-        if f.pixels.shape != first.pixels.shape:
-            raise ShapeMismatch(
-                f"frame {f.captured_at} shape {f.pixels.shape} != {first.pixels.shape}"
-            )
-        if f.camera_id != first.camera_id:
-            raise ShapeMismatch(f"mixed cameras {f.camera_id!r} / {first.camera_id!r}")
+def _check_frame(frame: Frame, first: Frame) -> None:
+    if frame.pixels.shape != first.pixels.shape:
+        raise ShapeMismatch(
+            f"frame {frame.captured_at} shape {frame.pixels.shape} != {first.pixels.shape}"
+        )
+    if frame.camera_id != first.camera_id:
+        raise ShapeMismatch(f"mixed cameras {frame.camera_id!r} / {first.camera_id!r}")
 
 
-def build_background(frames: Sequence[Frame], z: int) -> BackgroundModel:
-    """Pixelwise mean of the first z frames (real-valued, no rounding)."""
-    if z < 2 or len(frames) < z:
-        raise InsufficientFrames(f"need >= {max(z, 2)} frames, got {len(frames)}")
-    window = list(frames[:z])
-    _check_shapes(window)
-    stack = np.stack([f.pixels for f in window]).astype(np.float64)
-    values = stack.mean(axis=0)
+def _check_order(frame: Frame, prev: Frame) -> None:
+    if frame.captured_at < prev.captured_at:
+        raise OutOfOrderTimestamp(
+            f"{frame.camera_id}: frame {frame.captured_at} after {prev.captured_at}"
+        )
+
+
+def build_background(frames: Iterable[Frame], z: int) -> BackgroundModel:
+    """Pixelwise mean of the first z frames (real-valued, no rounding).
+
+    The frames are summed as integers, which float64 holds exactly, and
+    divided once, so the result equals the float64 mean of their stack.
+    """
+    window = list(islice(frames, max(z, 0)))
+    if z < 2 or len(window) < z:
+        raise InsufficientFrames(f"need >= {max(z, 2)} frames, got {len(window)}")
+    total = np.zeros(window[0].pixels.shape, dtype=np.int64)
+    for f in window:
+        _check_frame(f, window[0])
+        total += f.pixels
     return BackgroundModel(
         camera_id=window[0].camera_id,
-        values=values,
+        values=total / z,
         window_size=z,
         built_from=tuple(f.captured_at for f in window),
     )
@@ -118,20 +129,32 @@ def _frame_density(frame: Frame, bg: BackgroundModel, tau: float) -> DensityReco
 
 
 def process_sequence(
-    frames: Sequence[Frame],
+    frames: Iterable[Frame],
     z: int = DEFAULT_WINDOW,
     tau: float = DEFAULT_TAU,
 ) -> list[DensityRecord]:
-    """Run the full density pipeline over a time-ordered frame sequence.
+    """Run the full density pipeline over frames in capture order.
 
     The background is built once from the first z frames and held constant.
+    Only those z frames are held at once, so ``frames`` may be a generator
+    that decodes one frame at a time. A frame earlier than the one before it
+    raises OutOfOrderTimestamp; a frame whose shape or camera differs from
+    the first raises ShapeMismatch.
     """
-    if len(frames) < z:
-        raise InsufficientFrames(f"need >= {z} frames, got {len(frames)}")
-    frames = sorted(frames, key=lambda f: f.captured_at)
-    _check_shapes(frames)
-    bg = build_background(frames, z)
-    return [_frame_density(frame, bg, tau) for frame in frames]
+    frames = iter(frames)
+    window = list(islice(frames, max(z, 0)))
+    for prev, frame in zip(window, window[1:]):
+        _check_order(frame, prev)
+    bg = build_background(window, z)  # raises InsufficientFrames if short
+    records = [_frame_density(frame, bg, tau) for frame in window]
+    prev = window[-1]
+    del window  # from here on, one frame at a time
+    for frame in frames:
+        _check_order(frame, prev)
+        _check_frame(frame, prev)
+        records.append(_frame_density(frame, bg, tau))
+        prev = frame
+    return records
 
 
 # --- trace CSV (camera_id,captured_at,raw_density,normalized) ---
@@ -149,11 +172,16 @@ def write_trace_csv(records: Iterable[DensityRecord]) -> str:
 
 
 def read_trace_csv(text: str) -> list[DensityRecord]:
-    lines = text.strip().splitlines()
+    """Parse a trace written by write_trace_csv. A malformed line raises
+    ValueError naming its 1-based line number."""
+    lines = text.rstrip().splitlines()
     if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError("not a density trace CSV")
+        raise ValueError("line 1: not a density trace CSV header")
     out = []
-    for line in lines[1:]:
-        cam, ts, d, norm = line.split(",")
-        out.append(DensityRecord(cam, parse_rfc3339(ts), int(d), float(norm)))
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            cam, ts, d, norm = line.split(",")
+            out.append(DensityRecord(cam, parse_rfc3339(ts), int(d), float(norm)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad trace row {line!r} ({exc})") from exc
     return out

@@ -18,6 +18,10 @@ class MissingManifest(DensigraphError):
     pass
 
 
+class CorruptManifest(DensigraphError):
+    """A manifest line that is not a well-formed record; names path:line."""
+
+
 # density
 class ShapeMismatch(DensigraphError):
     pass
@@ -25,6 +29,10 @@ class ShapeMismatch(DensigraphError):
 
 class InsufficientFrames(DensigraphError):
     pass
+
+
+class CorruptTrace(DensigraphError):
+    """A density trace CSV that does not parse; names path and line."""
 
 
 # quality

@@ -10,13 +10,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import MissingManifest, OutOfOrderTimestamp, StorageFull
+from .errors import CorruptManifest, MissingManifest, OutOfOrderTimestamp, StorageFull
 from .pgmio import sniff_extension
 
 __all__ = [
@@ -88,6 +89,7 @@ class ManifestRecord:
 
 
 RFC3339 = "%Y-%m-%dT%H:%M:%SZ"  # the one timestamp format of manifests and traces
+_RFC3339_FIELDS = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
 
 
 def format_rfc3339(ts: datetime) -> str:
@@ -95,7 +97,11 @@ def format_rfc3339(ts: datetime) -> str:
 
 
 def parse_rfc3339(text: str) -> datetime:
-    return datetime.strptime(text, RFC3339).replace(tzinfo=timezone.utc)
+    """Strict inverse of format_rfc3339: exactly YYYY-MM-DDTHH:MM:SSZ, UTC."""
+    fields = _RFC3339_FIELDS.fullmatch(text)
+    if fields is None:
+        raise ValueError(f"not an RFC 3339 UTC timestamp: {text!r}")
+    return datetime(*map(int, fields.groups()), tzinfo=timezone.utc)
 
 
 class Skip(NamedTuple):
@@ -196,7 +202,11 @@ def scan_manifest(
     time_range: tuple[datetime, datetime] | None = None,
 ) -> list[ManifestRecord]:
     """All manifest records under root, filtered conjunctively and sorted by
-    (camera_id, captured_at). Duplicates and failures are included."""
+    (camera_id, captured_at). Duplicates and failures are included.
+
+    A line that is not a well-formed record raises CorruptManifest naming
+    the manifest and the line.
+    """
     root = Path(root)
     if not root.exists():
         raise MissingManifest(f"{root} does not exist")
@@ -204,10 +214,17 @@ def scan_manifest(
     for manifest in sorted(root.glob("*/manifest.jsonl")):
         if city is not None and manifest.parent.name != city:
             continue
-        for line in manifest.read_text().splitlines():
+        for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
             if not line.strip():
                 continue
-            rec = ManifestRecord.from_json(line)
+            try:
+                rec = ManifestRecord.from_json(line)
+            except (ValueError, KeyError, TypeError) as exc:
+                # ValueError covers bad JSON and bad timestamps; KeyError a
+                # missing field; TypeError a line that is not a JSON object
+                raise CorruptManifest(
+                    f"{manifest}:{lineno}: bad manifest record ({type(exc).__name__}: {exc})"
+                ) from exc
             if camera_id is not None and rec.camera_id != camera_id:
                 continue
             if time_range is not None and not (

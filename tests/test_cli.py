@@ -1,9 +1,12 @@
 import json
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
-from densigraph import synth
+from densigraph import ingestion, synth
 from densigraph.cli import Config, run
+from densigraph.pgmio import write_p5
 
 
 def run_ok(*argv):
@@ -135,6 +138,93 @@ class TestExitCodes:
         monkeypatch.setenv("DENSIGRAPH_ROOT", str(corpus))
         run_ok("--config", str(cfg), "clean", "--city", "sydney")
         assert (corpus / "sydney" / "removed.csv").exists()
+
+
+def store_city(root, payloads_by_camera, city="testcity"):
+    """Store each camera's frame bytes one minute apart through FrameStore."""
+    store = ingestion.FrameStore(root)
+    t0 = datetime(2024, 1, 1, 6, tzinfo=timezone.utc)
+    for camera_id, payloads in payloads_by_camera.items():
+        camera = ingestion.CameraMeta(camera_id, city, 0.0, 0.0, 60.0)
+        for i, data in enumerate(payloads):
+            store.store_frame(camera, t0 + timedelta(minutes=i), data)
+
+
+def random_frames(seed, count, shape=(8, 8)):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 256, shape, dtype=np.uint8) for _ in range(count)]
+
+
+class TestDensityStage:
+    def test_scans_manifest_once(self, tmp_path, monkeypatch):
+        root = tmp_path / "data"
+        store_city(root, {f"cam{i}": map(write_p5, random_frames(i, 12)) for i in range(3)})
+        calls = []
+        scan = ingestion.scan_manifest
+
+        def counting_scan(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(ingestion, "scan_manifest", counting_scan)
+        run_ok("--set", f"data_root={root}", "--set", "window_z=4", "density", "--city", "testcity")
+        assert len(calls) == 1
+        for i in range(3):
+            trace = (root / "testcity" / "density" / f"cam{i}.csv").read_text()
+            assert len(trace.splitlines()) == 13
+
+    def test_undecodable_frame_in_window_is_skipped(self, tmp_path):
+        # oracle: mean of the first z decodable frames, thresholded by hand
+        z, tau = 4, 25.0
+        arrays = random_frames(5, 10)
+        payloads = [write_p5(a) for a in arrays]
+        payloads.insert(2, b"not an image")
+        root = tmp_path / "data"
+        store_city(root, {"cam1": payloads})
+        run_ok("--set", f"data_root={root}", "--set", f"window_z={z}", "density", "--city", "testcity")
+        bg = np.stack(arrays[:z]).astype(np.float64).mean(axis=0)
+        expected = []
+        for a in arrays:
+            diff = a - bg
+            expected.append(int(np.rint(diff[diff > tau]).sum()))
+        rows = (root / "testcity" / "density" / "cam1.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[2]) for row in rows] == expected
+
+    def test_size_change_mid_stream_exits_2_without_trace(self, tmp_path, capsys):
+        frames = random_frames(6, 8) + random_frames(7, 1, shape=(9, 8)) + random_frames(8, 3)
+        root = tmp_path / "data"
+        store_city(root, {"cam1": map(write_p5, frames)})
+        argv = ["--set", f"data_root={root}", "--set", "window_z=4", "density", "--city", "testcity"]
+        assert run(argv) == 2
+        assert "shape (9, 8) != (8, 8)" in capsys.readouterr().err
+        assert not (root / "testcity" / "density" / "cam1.csv").exists()
+
+
+class TestCorruptInputs:
+    def test_torn_manifest_line_is_data_error(self, corpus, capsys):
+        manifest = corpus / "sydney" / "manifest.jsonl"
+        with manifest.open("a") as fh:
+            fh.write('{"camera_id": "cam00", "captured')
+        assert run(["--set", f"data_root={corpus}", "density", "--city", "sydney"]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:151:" in err and "Traceback" not in err
+
+    def test_malformed_trace_row_is_data_error(self, corpus, capsys):
+        run_ok("--set", f"data_root={corpus}", "density", "--city", "sydney")
+        trace = corpus / "sydney" / "density" / "cam1.csv"
+        with trace.open("a") as fh:
+            fh.write("cam00,garbage\n")
+        assert run(["--set", f"data_root={corpus}", "fit", "--city", "sydney"]) == 2
+        err = capsys.readouterr().err
+        assert f"{trace}: line 152:" in err and "Traceback" not in err
+
+    def test_unknown_labeled_path_is_data_error(self, corpus, tmp_path, capsys):
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps([{"relative_path": "sydney/nope.pgm", "label": "regular"}]))
+        argv = ["--set", f"data_root={corpus}", "clean", "--city", "sydney", "--labels", str(labels)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert str(labels) in err and "sydney/nope.pgm" in err
 
 
 class TestLowConfidence:

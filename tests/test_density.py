@@ -1,3 +1,4 @@
+import weakref
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -15,7 +16,7 @@ from densigraph.density import (
     to_grayscale,
     write_trace_csv,
 )
-from densigraph.errors import InsufficientFrames, ShapeMismatch
+from densigraph.errors import InsufficientFrames, OutOfOrderTimestamp, ShapeMismatch
 
 T0 = datetime(2024, 3, 1, 8, 0, tzinfo=timezone.utc)
 
@@ -66,6 +67,23 @@ class TestBuildBackground:
         frames = make_frames([np.zeros((2, 2)), np.zeros((3, 3))])
         with pytest.raises(ShapeMismatch):
             build_background(frames, z=2)
+
+    def test_equals_float64_stack_mean_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for z in [2, 3, 7, 31, 64, 100]:
+            arrays = rng.integers(0, 256, (z + 3, 48, 64), dtype=np.uint8)
+            if z == 100:
+                arrays[:] = 255  # largest possible sum
+            bg = build_background(make_frames(arrays), z=z)
+            expected = np.stack(arrays[:z]).astype(np.float64).mean(axis=0)
+            assert np.array_equal(bg.values, expected)
+
+    def test_accepts_a_generator(self):
+        rng = np.random.default_rng(13)
+        frames = make_frames(rng.integers(0, 256, (8, 4, 4), dtype=np.uint8))
+        bg = build_background((f for f in frames), z=5)
+        assert np.array_equal(bg.values, build_background(frames, z=5).values)
+        assert bg.built_from == tuple(f.captured_at for f in frames[:5])
 
     def test_occlusion_error_bound(self):
         # oracle: the scene's uniform true background; every pixel occluded
@@ -200,6 +218,46 @@ class TestProcessSequence:
     def test_insufficient_frames(self):
         with pytest.raises(InsufficientFrames):
             process_sequence(make_frames([np.zeros((2, 2))] * 5), z=10)
+
+    def test_generator_equals_list(self):
+        spec = synth.random_scene_spec(4, frame_count=130)
+        frames = synth.frames_from_spec(spec, "cam1")
+        streamed = process_sequence((f for f in frames), z=100, tau=25)
+        assert streamed == process_sequence(frames, z=100, tau=25)
+        assert len(streamed) == 130
+
+    def test_holds_at_most_z_frames(self):
+        refs = []
+        peak = 0
+
+        def stream():
+            nonlocal peak
+            for i in range(40):
+                frame = Frame("cam1", T0 + timedelta(seconds=i), np.full((4, 4), i, np.uint8))
+                refs.append(weakref.ref(frame))
+                peak = max(peak, sum(r() is not None for r in refs))
+                yield frame
+
+        assert len(process_sequence(stream(), z=5, tau=25)) == 40
+        assert peak <= 5
+
+    @pytest.mark.parametrize("at", [3, 8], ids=["in_window", "after_window"])
+    def test_backwards_timestamp_raises(self, at):
+        frames = make_frames(np.zeros((10, 2, 2)))
+        frames[at], frames[at - 1] = frames[at - 1], frames[at]
+        with pytest.raises(OutOfOrderTimestamp):
+            process_sequence(frames, z=5)
+
+    def test_shape_change_after_window_raises(self):
+        arrays = [np.zeros((4, 4))] * 7 + [np.zeros((4, 5))] + [np.zeros((4, 4))]
+        with pytest.raises(ShapeMismatch, match=r"\(4, 5\)"):
+            process_sequence(make_frames(arrays), z=5)
+
+    def test_camera_change_after_window_raises(self):
+        frames = make_frames([np.zeros((2, 2))] * 6)
+        frames[5] = Frame("cam2", frames[5].captured_at, frames[5].pixels)
+        with pytest.raises(ShapeMismatch, match="mixed cameras"):
+            process_sequence(frames, z=5)
 
 
 class TestTraceCsv:

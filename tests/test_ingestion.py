@@ -1,17 +1,20 @@
 import json
+import re
 from datetime import datetime, time, timedelta, timezone
 
 import numpy as np
 import pytest
 
-from densigraph.errors import MissingManifest, OutOfOrderTimestamp
+from densigraph.errors import CorruptManifest, MissingManifest, OutOfOrderTimestamp
 from densigraph.ingestion import (
     CameraMeta,
     FrameStore,
     Skip,
     crawl,
     dedup_check,
+    format_rfc3339,
     load_catalog,
+    parse_rfc3339,
     scan_manifest,
     schedule_next_fetch,
 )
@@ -176,6 +179,53 @@ class TestScanManifest:
             "camera_id", "captured_at", "relative_path", "byte_size", "content_hash", "status",
         }
         assert obj["content_hash"] == obj["content_hash"].lower()
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"camera_id": "syd-001", "captured',  # torn JSON
+            '{"camera_id": "syd-001", "captured_at": "2024-03-01 10:00:00", '
+            '"relative_path": "p", "byte_size": 1, "content_hash": "h", "status": "stored"}',
+            '{"camera_id": "syd-001", "relative_path": "p", "byte_size": 1, '
+            '"content_hash": "h", "status": "stored"}',  # no captured_at
+            "[1, 2, 3]",
+        ],
+        ids=["torn", "bad_captured_at", "missing_key", "not_an_object"],
+    )
+    def test_corrupt_line_names_path_and_line(self, tmp_path, bad_line):
+        store = FrameStore(tmp_path)
+        store.store_frame(camera(), T0, b"x")
+        manifest = tmp_path / "sydney" / "manifest.jsonl"
+        with manifest.open("a") as fh:
+            fh.write(bad_line + "\n")
+        with pytest.raises(CorruptManifest, match=re.escape(f"{manifest}:2: ")):
+            scan_manifest(tmp_path)
+
+
+class TestRfc3339:
+    def test_round_trip(self):
+        rng = np.random.default_rng(7)
+        lo = datetime(1970, 1, 1, tzinfo=timezone.utc)
+        span = (datetime(2200, 1, 1, tzinfo=timezone.utc) - lo).total_seconds()
+        for s in rng.integers(0, int(span), 1000):
+            t = lo + timedelta(seconds=int(s))
+            assert parse_rfc3339(format_rfc3339(t)) == t
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "2024-01-01 06:00:00Z",
+            "2024-01-01T06:00:00",
+            "2024-1-1T6:0:0Z",
+            "2024-01-01T06:00:00Zx",
+            "2024-13-01T06:00:00Z",
+            "2024-01-01T06:00:00Z\n",
+        ],
+    )
+    def test_rejects_other_layouts(self, text):
+        with pytest.raises(ValueError):
+            parse_rfc3339(text)
 
 
 class TestCatalog:
