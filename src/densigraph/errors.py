@@ -22,6 +22,13 @@ class CorruptManifest(DensigraphError):
     """A manifest line that is not a well-formed record; names path:line."""
 
 
+class CorruptCatalog(DensigraphError, ValueError):
+    """A camera catalog entry that is not a valid camera; names the file.
+
+    Also a ValueError, which load_catalog raised for a bad catalog before.
+    """
+
+
 # density
 class ShapeMismatch(DensigraphError):
     pass

@@ -11,17 +11,24 @@ import hashlib
 import json
 import math
 import re
-import urllib.request
+import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import CorruptManifest, MissingManifest, OutOfOrderTimestamp, StorageFull
+from .errors import (
+    CorruptCatalog,
+    CorruptManifest,
+    MissingManifest,
+    OutOfOrderTimestamp,
+    StorageFull,
+)
 from .pgmio import sniff_extension
 
 __all__ = [
     "CameraMeta",
+    "check_id",
     "ManifestRecord",
     "Skip",
     "schedule_next_fetch",
@@ -36,6 +43,24 @@ FETCH_MARGIN = 0.9  # poll a little faster than the camera refreshes
 DEFAULT_WINDOW = (time(6, 0), time(18, 0))
 
 
+def check_id(kind: str, value) -> None:
+    """Raise ValueError unless value is safe as a camera id or city name.
+
+    Ids become one directory in the storage layout and one field in trace
+    CSVs, so an id may not be empty, '.' or '..', nor hold '/', '\\', ','
+    or a control character.
+    """
+    if (
+        not isinstance(value, str)
+        or value in ("", ".", "..")
+        or any(ch in "/\\," or unicodedata.category(ch) == "Cc" for ch in value)
+    ):
+        raise ValueError(
+            f"{kind} {value!r} must be a non-empty name other than '.' or '..'"
+            " without '/', '\\', ',' or control characters"
+        )
+
+
 @dataclass(frozen=True)
 class CameraMeta:
     camera_id: str
@@ -47,6 +72,8 @@ class CameraMeta:
     daylight_window: tuple[time, time] = DEFAULT_WINDOW
 
     def __post_init__(self):
+        check_id("camera_id", self.camera_id)
+        check_id("city", self.city)
         if self.refresh_interval <= 0:
             raise ValueError("refresh_interval must be positive")
         if self.daylight_window[0] >= self.daylight_window[1]:
@@ -143,23 +170,32 @@ class FrameStore:
     """Write frames into the storage layout and append manifest records.
 
     Per-camera streams are serialized: captured_at must strictly increase
-    for a given camera.
+    for a given (city, camera_id). A city's manifest is read on the first
+    store into that city, so other cities' manifests are never parsed.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._last_ts: dict[str, datetime] = {}
-        self._last_hash: dict[str, str] = {}
-        if self.root.exists():
-            for rec in scan_manifest(self.root):
-                self._last_ts[rec.camera_id] = rec.captured_at
+        self._scanned: set[str] = set()
+        self._last_ts: dict[tuple[str, str], datetime] = {}
+        self._last_hash: dict[tuple[str, str], str] = {}
+
+    def _resume(self, city: str) -> None:
+        """Pick up each camera's last timestamp and hash from city's manifest."""
+        if (self.root / city / "manifest.jsonl").exists():
+            for rec in scan_manifest(self.root, city=city):
+                self._last_ts[city, rec.camera_id] = rec.captured_at
                 if rec.status == "stored":
-                    self._last_hash[rec.camera_id] = rec.content_hash
+                    self._last_hash[city, rec.camera_id] = rec.content_hash
+        self._scanned.add(city)
 
     def store_frame(
         self, camera: CameraMeta, captured_at: datetime, data: bytes
     ) -> ManifestRecord:
-        last = self._last_ts.get(camera.camera_id)
+        if camera.city not in self._scanned:
+            self._resume(camera.city)
+        key = (camera.city, camera.camera_id)
+        last = self._last_ts.get(key)
         if last is not None and captured_at <= last:
             raise OutOfOrderTimestamp(
                 f"{camera.camera_id}: {captured_at} <= last stored {last}"
@@ -168,7 +204,7 @@ class FrameStore:
         if not data:
             record = ManifestRecord(camera.camera_id, captured_at, rel, 0, "", "failed")
         else:
-            dup, digest = dedup_check(data, self._last_hash.get(camera.camera_id))
+            dup, digest = dedup_check(data, self._last_hash.get(key))
             if dup:
                 record = ManifestRecord(
                     camera.camera_id, captured_at, rel, len(data), digest, "duplicate"
@@ -180,12 +216,12 @@ class FrameStore:
                     path.write_bytes(data)
                 except OSError as exc:
                     raise StorageFull(str(exc)) from exc
-                self._last_hash[camera.camera_id] = digest
+                self._last_hash[key] = digest
                 record = ManifestRecord(
                     camera.camera_id, captured_at, rel, len(data), digest, "stored"
                 )
         self._append_manifest(camera.city, record)
-        self._last_ts[camera.camera_id] = captured_at
+        self._last_ts[key] = captured_at
         return record
 
     def _append_manifest(self, city: str, record: ManifestRecord) -> None:
@@ -237,33 +273,45 @@ def scan_manifest(
 
 
 def load_catalog(path: str | Path) -> list[CameraMeta]:
-    """Camera catalog: JSON array of CameraMeta objects."""
+    """Camera catalog: JSON array of CameraMeta objects.
+
+    An entry that is not a valid CameraMeta, or a camera_id listed twice,
+    raises CorruptCatalog naming the catalog and the entry.
+    """
     cameras = []
-    for obj in json.loads(Path(path).read_text()):
-        window = obj.get("daylight_window")
-        if window:
-            window = (time.fromisoformat(window[0]), time.fromisoformat(window[1]))
-        else:
-            window = DEFAULT_WINDOW
-        cameras.append(
-            CameraMeta(
-                camera_id=obj["camera_id"],
-                city=obj["city"],
-                latitude=obj["latitude"],
-                longitude=obj["longitude"],
-                refresh_interval=obj["refresh_interval"],
-                source_url=obj.get("source_url"),
-                daylight_window=window,
+    for index, obj in enumerate(json.loads(Path(path).read_text())):
+        try:
+            window = obj.get("daylight_window")
+            if window:
+                window = (time.fromisoformat(window[0]), time.fromisoformat(window[1]))
+            else:
+                window = DEFAULT_WINDOW
+            cameras.append(
+                CameraMeta(
+                    camera_id=obj["camera_id"],
+                    city=obj["city"],
+                    latitude=obj["latitude"],
+                    longitude=obj["longitude"],
+                    refresh_interval=obj["refresh_interval"],
+                    source_url=obj.get("source_url"),
+                    daylight_window=window,
+                )
             )
-        )
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            # AttributeError: an entry that is not a JSON object
+            raise CorruptCatalog(
+                f"{path}: entry {index}: bad camera ({type(exc).__name__}: {exc})"
+            ) from exc
     ids = [c.camera_id for c in cameras]
     if len(set(ids)) != len(ids):
-        raise ValueError("duplicate camera_id in catalog")
+        raise CorruptCatalog(f"{path}: duplicate camera_id in catalog")
     return cameras
 
 
 def fetch_url(url: str, timeout: float = 10.0) -> bytes | None:
     """GET an image URL; any 2xx yields the body, anything else None."""
+    import urllib.request  # only crawl fetches; other stages skip the import
+
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:
             if 200 <= resp.status < 300:

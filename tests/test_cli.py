@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from densigraph import ingestion, synth
+import densigraph
+from densigraph import cli, ingestion, synth
 from densigraph.cli import Config, run
 from densigraph.pgmio import write_p5
 
@@ -115,7 +120,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "setting",
-        ["tau=-50", "tau=nan", "tau=inf", "window_z=1", "window_z=0", "jobs=2"],
+        [
+            "tau=-50", "tau=nan", "tau=inf", "window_z=1", "window_z=0", "jobs=2",
+            "cluster_k=1", "cluster_k=0",
+        ],
     )
     def test_bad_config_value(self, tmp_path, setting, capsys):
         argv = ["--set", f"data_root={tmp_path}", "--set", setting, "density", "--city", "x"]
@@ -198,6 +206,111 @@ class TestDensityStage:
         assert run(argv) == 2
         assert "shape (9, 8) != (8, 8)" in capsys.readouterr().err
         assert not (root / "testcity" / "density" / "cam1.csv").exists()
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """max_workers of every density pool the CLI creates, in order."""
+    sizes = []
+
+    class RecordingPool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestDensityPool:
+    def test_worker_count_follows_frame_size(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert cli.density_workers(72 * 96) == 1
+        assert cli.density_workers(240 * 320) == 1
+        assert cli.density_workers(480 * 640) == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli.density_workers(480 * 640) == 1
+
+    def test_traces_identical_whatever_the_worker_count(self, tmp_path, monkeypatch, pool_sizes):
+        root = tmp_path / "data"
+        store_city(
+            root,
+            {f"cam{i}": map(write_p5, random_frames(i, 6, shape=(480, 640))) for i in range(3)},
+        )
+        traces = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            run_ok("--set", f"data_root={root}", "--set", "window_z=3", "density", "--city", "testcity")
+            traces.append(
+                {p.name: p.read_bytes() for p in (root / "testcity" / "density").glob("*.csv")}
+            )
+        assert pool_sizes == [1, 4]
+        assert len(traces[0]) == 3 and traces[0] == traces[1]
+        assert all(len(t.splitlines()) == 1 + 6 for t in traces[0].values())
+
+    def test_small_frames_use_one_worker(self, tmp_path, monkeypatch, pool_sizes):
+        root = tmp_path / "data"
+        # the first kept frame is undecodable: the pool is sized from the next
+        payloads = [b"not an image"] + [write_p5(a) for a in random_frames(1, 5)]
+        store_city(root, {"cam0": payloads, "cam1": map(write_p5, random_frames(2, 5))})
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        run_ok("--set", f"data_root={root}", "--set", "window_z=3", "density", "--city", "testcity")
+        assert pool_sizes == [1]
+        rows = (root / "testcity" / "density" / "cam0.csv").read_text().splitlines()
+        assert len(rows) == 1 + 5
+
+    def test_no_decodable_frame_uses_one_worker_and_exits_2(self, tmp_path, monkeypatch, pool_sizes, capsys):
+        root = tmp_path / "data"
+        store_city(root, {"cam0": [b"not an image", b"nor this"]})
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        argv = ["--set", f"data_root={root}", "--set", "window_z=3", "density", "--city", "testcity"]
+        assert run(argv) == 2
+        assert pool_sizes == [1]
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_stages_that_do_not_fit_never_import_scipy():
+    code = (
+        "import sys\n"
+        "import densigraph.cli, densigraph.density, densigraph.quality\n"
+        "import densigraph.lrd, densigraph.synth, densigraph.ingestion\n"
+        "print(sorted(m for m in ('scipy', 'urllib.request') if m in sys.modules))\n"
+    )
+    src = str(Path(densigraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+class TestUnsafeIds:
+    @pytest.mark.parametrize("bad", ["", "../../esc", "a,b"])
+    @pytest.mark.parametrize("flag", ["--camera-id", "--city"])
+    def test_synth_rejects_unsafe_id(self, tmp_path, capsys, flag, bad):
+        scene = tmp_path / "scene.json"
+        scene.write_text(synth.random_scene_spec(5, frame_count=3).to_json())
+        root = tmp_path / "a" / "b" / "data"
+        ids = {"--city": "sydney", "--camera-id": "cam1", flag: bad}
+        argv = ["--set", f"data_root={root}", "synth", "--scene", str(scene)]
+        argv += [arg for pair in ids.items() for arg in pair]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "Traceback" not in err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scene]
+
+    def test_crawl_rejects_unsafe_catalog_id(self, tmp_path, capsys):
+        catalog = tmp_path / "catalog.json"
+        entry = {"camera_id": "a,b", "city": "c", "latitude": 0, "longitude": 0, "refresh_interval": 5}
+        catalog.write_text(json.dumps([entry]))
+        argv = [
+            "--set", f"data_root={tmp_path / 'data'}", "--set", f"catalog_path={catalog}",
+            "crawl", "--duration", "0",
+        ]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert str(catalog) in err and "'a,b'" in err and "Traceback" not in err
 
 
 class TestCorruptInputs:

@@ -5,7 +5,13 @@ from datetime import datetime, time, timedelta, timezone
 import numpy as np
 import pytest
 
-from densigraph.errors import CorruptManifest, MissingManifest, OutOfOrderTimestamp
+from densigraph.errors import (
+    CorruptCatalog,
+    CorruptManifest,
+    DensigraphError,
+    MissingManifest,
+    OutOfOrderTimestamp,
+)
 from densigraph.ingestion import (
     CameraMeta,
     FrameStore,
@@ -131,6 +137,49 @@ class TestStoreFrame:
         with pytest.raises(OutOfOrderTimestamp):
             FrameStore(tmp_path).store_frame(camera(), T0 - timedelta(seconds=1), b"y")
 
+    def test_torn_manifest_in_one_city_does_not_block_another(self, tmp_path):
+        FrameStore(tmp_path).store_frame(camera(city="a"), T0, b"x")
+        manifest = tmp_path / "a" / "manifest.jsonl"
+        with manifest.open("a") as fh:
+            fh.write('{"camera_id": "syd-001", "captured')
+        store = FrameStore(tmp_path)
+        rec = store.store_frame(camera(city="b"), T0, b"x")
+        assert rec.status == "stored"
+        with pytest.raises(CorruptManifest, match=re.escape(f"{manifest}:2: ")):
+            store.store_frame(camera(city="a"), T0 + timedelta(seconds=1), b"y")
+
+    def test_camera_id_reused_in_another_city_is_a_separate_stream(self, tmp_path):
+        FrameStore(tmp_path).store_frame(camera(city="a"), T0, b"same-bytes")
+        store = FrameStore(tmp_path)
+        rec = store.store_frame(camera(city="b"), T0 - timedelta(seconds=1), b"same-bytes")
+        assert rec.status == "stored"
+        assert rec.relative_path.startswith("b/syd-001/")
+        with pytest.raises(OutOfOrderTimestamp):
+            store.store_frame(camera(city="a"), T0, b"other")
+        dup = store.store_frame(camera(city="a"), T0 + timedelta(seconds=1), b"same-bytes")
+        assert dup.status == "duplicate"
+
+
+UNSAFE_IDS = ["", ".", "..", "../../esc", "a/b", "a\\b", "a,b", "a\tb", "a\x00b", "a\x85b"]
+
+
+class TestCameraIds:
+    @pytest.mark.parametrize("bad", UNSAFE_IDS)
+    @pytest.mark.parametrize("field", ["camera_id", "city"])
+    def test_unsafe_id_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            camera(**{field: bad})
+
+    @pytest.mark.parametrize("good", ["syd-001", "cam 1", "...", "a.b", "東京", "x_y+z"])
+    def test_safe_id_accepted(self, good):
+        assert camera(camera_id=good, city=good).camera_id == good
+
+    def test_escaping_id_stores_nothing(self, tmp_path):
+        root = tmp_path / "a" / "b" / "data"
+        with pytest.raises(ValueError):
+            FrameStore(root).store_frame(camera(camera_id="../../esc"), T0, b"x")
+        assert not any(tmp_path.rglob("*.bin"))
+
 
 class TestScanManifest:
     def test_empty_root(self, tmp_path):
@@ -255,6 +304,19 @@ class TestCatalog:
         }
         path.write_text(json.dumps([entry, entry]))
         with pytest.raises(ValueError):
+            load_catalog(path)
+        with pytest.raises(CorruptCatalog, match=re.escape(f"{path}: duplicate camera_id")):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("bad", ["..", "a,b", 7])
+    @pytest.mark.parametrize("field", ["camera_id", "city"])
+    def test_unsafe_id_names_the_catalog(self, tmp_path, field, bad):
+        path = tmp_path / "catalog.json"
+        entry = {
+            "camera_id": "x", "city": "c", "latitude": 0, "longitude": 0, "refresh_interval": 5,
+        }
+        path.write_text(json.dumps([entry, {**entry, "camera_id": "y", field: bad}]))
+        with pytest.raises(DensigraphError, match=re.escape(f"{path}: entry 1: ")):
             load_catalog(path)
 
 
