@@ -32,7 +32,7 @@ import numpy as np
 
 from . import density as density_mod
 from . import ingestion, lrd, quality, synth
-from .errors import CorruptTrace, DensigraphError
+from .errors import CorruptLabels, CorruptTrace, DensigraphError, InvalidSpec
 from .pgmio import decode_image, write_p5
 
 USAGE_ERROR = 1
@@ -184,7 +184,6 @@ def cmd_crawl(cfg: Config, args) -> int:
 
 
 def cmd_synth(cfg: Config, args) -> int:
-    spec = synth.SceneSpec.from_json(Path(args.scene).read_text())
     camera = ingestion.CameraMeta(
         camera_id=args.camera_id,
         city=args.city,
@@ -193,9 +192,14 @@ def cmd_synth(cfg: Config, args) -> int:
         refresh_interval=args.step,
     )
     t0 = datetime.fromisoformat(args.t0).replace(tzinfo=timezone.utc)
+    try:
+        spec = synth.SceneSpec.from_json(Path(args.scene).read_text())
+        frames = synth.frames_from_spec(spec, args.camera_id, t0, args.step)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{args.scene}: {exc}") from exc
     store = ingestion.FrameStore(cfg.data_root)
     count = 0
-    for frame in synth.frames_from_spec(spec, args.camera_id, t0, args.step):
+    for frame in frames:
         store.store_frame(camera, frame.captured_at, write_p5(frame.pixels))
         count += 1
     _log(f"synth: stored {count} frames for {args.city}/{args.camera_id}")
@@ -220,17 +224,30 @@ def cmd_clean(cfg: Config, args) -> int:
 
     model = None
     if args.labels:
-        labeled_spec = json.loads(Path(args.labels).read_text())
+        try:
+            labeled_spec = json.loads(Path(args.labels).read_text())
+        except json.JSONDecodeError as exc:
+            raise CorruptLabels(f"{args.labels}: line {exc.lineno}: {exc.msg}") from exc
+        if not isinstance(labeled_spec, list):
+            raise CorruptLabels(f"{args.labels}: expected a JSON list of labeled frames")
         pairs = []
-        for item in labeled_spec:
-            feats = features_by_path.get(item["relative_path"])
+        for i, item in enumerate(labeled_spec):
+            try:
+                path, label = item["relative_path"], item["label"]
+            except (KeyError, TypeError) as exc:
+                raise CorruptLabels(
+                    f"{args.labels}: entry {i} needs relative_path and label"
+                ) from exc
+            feats = features_by_path.get(path)
             if feats is None:
-                raise DensigraphError(
-                    f"{args.labels}: relative_path {item['relative_path']!r}"
-                    f" is not in the {args.city} manifest"
+                raise CorruptLabels(
+                    f"{args.labels}: relative_path {path!r} is not in the {args.city} manifest"
                 )
-            pairs.append((feats, item["label"]))
-        labeled = quality.LabeledSet(tuple(pairs))
+            pairs.append((feats, label))
+        try:
+            labeled = quality.LabeledSet(tuple(pairs))
+        except (TypeError, ValueError) as exc:
+            raise CorruptLabels(f"{args.labels}: {exc}") from exc
         unlabeled = [
             e.features
             for e in entries
@@ -296,7 +313,7 @@ def _read_city_traces(cfg: Config, city: str) -> dict[str, list]:
 
 
 def cmd_fit(cfg: Config, args) -> int:
-    from . import statfit  # scipy: only fit and report pay for its import
+    from . import statfit  # only fit and report need it; other stages skip the import
 
     traces = _read_city_traces(cfg, args.city)
     out_dir = cfg.data_root / args.city / "fits"
@@ -357,7 +374,7 @@ def cmd_lrd(cfg: Config, args) -> int:
 
 
 def cmd_report(cfg: Config, args) -> int:
-    from . import statfit  # scipy: only fit and report pay for its import
+    from . import statfit  # only fit and report need it; other stages skip the import
 
     city_dir = cfg.data_root / args.city
     fits_dir = city_dir / "fits"

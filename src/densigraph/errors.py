@@ -51,6 +51,10 @@ class TooFewPoints(DensigraphError):
     pass
 
 
+class CorruptLabels(DensigraphError):
+    """A labeled-seed JSON file that is not a list of labeled frames; names it."""
+
+
 # stats_fit
 class NonPositiveSample(DensigraphError):
     pass

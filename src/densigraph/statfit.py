@@ -9,6 +9,10 @@ in log-parameter space where iteration is needed. The KS pass/fail gate is
 the asymptotic 95% critical value 1.36/sqrt(n); parameters are estimated
 from the same sample, so the gate is optimistic (no Lilliefors correction,
 flagged in the serialized report).
+
+The special functions the fits need (digamma, trigamma, erf and the
+regularized lower incomplete gamma) are written here with math and numpy
+alone, so that a stage that fits or reports imports no other numeric library.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     AllFitsFailed,
@@ -42,12 +45,140 @@ __all__ = [
     "ks_statistic",
     "ks_critical_95",
     "rank_fits",
+    "digamma",
+    "trigamma",
+    "erf",
+    "gammainc",
 ]
 
 # tie-break order matches the report legend (E, G, L, N, W)
 FAMILIES = ("exponential", "gamma", "loglogistic", "normal", "weibull")
 
 KS_COEFF_95 = 1.36
+
+_EPS = np.finfo(np.float64).eps
+
+
+# --- special functions ---
+# digamma and trigamma shift x up to 10 with the recurrence, then sum the
+# asymptotic series in 1/x^2 (Bernoulli numbers B_2..B_14); the first term
+# left out is below 1e-15 relative at x = 10.
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _series_in_inverse_square(coeffs: tuple, x: float) -> float:
+    """sum_j coeffs[j] / x^(2j+2), by Horner from the smallest term."""
+    r = 1.0 / (x * x)
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc * r
+
+
+def digamma(x: float) -> float:
+    """psi(x) = d/dx ln Gamma(x), for x > 0."""
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    return math.log(x) - 0.5 / x - _series_in_inverse_square(_DIGAMMA_SERIES, x) - shift
+
+
+def trigamma(x: float) -> float:
+    """psi'(x), for x > 0."""
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / (x * x)
+        x += 1.0
+    return shift + (1.0 + 0.5 / x + _series_in_inverse_square(_TRIGAMMA_SERIES, x)) / x
+
+
+_ERF = np.frompyfunc(math.erf, 1, 1)
+
+
+def erf(x):
+    """math.erf over an array; a scalar or 0-d input gives a float."""
+    out = _ERF(x)
+    return out.astype(np.float64) if isinstance(out, np.ndarray) else float(out)
+
+
+def _gammainc_series(a: float, x: np.ndarray, max_iter: int) -> np.ndarray:
+    """sum_n x^n / (a (a+1) ... (a+n)) for x > 0, elementwise.
+
+    An element is retired once its term is below eps of its sum, so its value
+    does not depend on the other elements.
+    """
+    term = np.full(x.shape, 1.0 / a)
+    total = term.copy()
+    out = np.empty(x.shape)
+    idx = np.arange(x.size)
+    n = 0
+    while idx.size:
+        n += 1
+        if n > max_iter:
+            raise NoConvergence(f"incomplete gamma series did not converge (a={a})")
+        term *= x / (a + n)
+        total += term
+        done = term <= total * _EPS
+        if done.any():
+            out[idx[done]] = total[done]
+            going = ~done
+            idx, x, term, total = idx[going], x[going], term[going], total[going]
+    return out
+
+
+def _gammaincc_fraction(a: float, x: np.ndarray, max_iter: int) -> np.ndarray:
+    """Continued fraction for Gamma(a, x) e^x x^-a, x >= a + 1, modified Lentz.
+
+    For x >= a + 1, induction on i shows both Lentz denominators are at least
+    x - a + i + 1, so the usual guard against a zero denominator is not needed.
+    """
+    b = x + 1.0 - a
+    c = np.full(x.shape, np.inf)
+    d = 1.0 / b
+    h = d.copy()
+    out = np.empty(x.shape)
+    idx = np.arange(x.size)
+    i = 0
+    while idx.size:
+        i += 1
+        if i > max_iter:
+            raise NoConvergence(f"incomplete gamma continued fraction did not converge (a={a})")
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        h *= delta
+        done = np.abs(delta - 1.0) <= _EPS
+        if done.any():
+            out[idx[done]] = h[done]
+            going = ~done
+            idx, b, c, d, h = idx[going], b[going], c[going], d[going], h[going]
+    return out
+
+
+def gammainc(a: float, x) -> np.ndarray:
+    """Regularized lower incomplete gamma P(a, x) for a > 0, elementwise in x >= 0.
+
+    Series below x = a + 1, continued fraction for the complement above it;
+    both need O(sqrt(a)) terms near x = a, so the cap grows with sqrt(a).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    max_iter = 200 + int(20.0 * math.sqrt(a))
+    out = np.full(x.shape, np.nan)
+    out[x == 0] = 0.0
+    out[x == np.inf] = 1.0
+    low = (x > 0) & (x < a + 1.0)
+    high = (x >= a + 1.0) & (x < np.inf)
+    xl, xh = x[low], x[high]
+    lgamma_a = math.lgamma(a)
+    out[low] = np.exp(a * np.log(xl) - xl - lgamma_a) * _gammainc_series(a, xl, max_iter)
+    out[high] = 1.0 - np.exp(a * np.log(xh) - xh - lgamma_a) * _gammaincc_fraction(
+        a, xh, max_iter
+    )
+    return out
 
 
 def _as_sample(sample, positive: bool) -> np.ndarray:
@@ -83,8 +214,8 @@ def fit_gamma(sample, tol: float = 1e-10, max_iter: int = 100) -> dict:
         raise DegenerateSample("log-moment gap is non-positive (constant data?)")
     k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     for _ in range(max_iter):
-        f = math.log(k) - special.digamma(k) - s
-        fp = 1.0 / k - special.polygamma(1, k)
+        f = math.log(k) - digamma(k) - s
+        fp = 1.0 / k - trigamma(k)
         step = f / fp
         k -= step
         if k <= 0:
@@ -210,15 +341,16 @@ def fit_family(family: str, sample) -> dict:
 
 
 def cdf_eval(family: str, params: dict, x) -> np.ndarray | float:
-    """Closed-form CDFs; gamma via the regularized lower incomplete gamma."""
+    """Closed-form CDFs; normal via erf, gamma via the regularized lower
+    incomplete gamma, both defined in this module."""
     xv = np.asarray(x, dtype=np.float64)
     if family == "exponential":
         out = np.where(xv <= 0, 0.0, -np.expm1(-params["rate"] * np.maximum(xv, 0)))
     elif family == "normal":
-        out = 0.5 * (1.0 + special.erf((xv - params["mu"]) / (params["sigma"] * math.sqrt(2))))
+        out = 0.5 * (1.0 + erf((xv - params["mu"]) / (params["sigma"] * math.sqrt(2))))
     elif family == "gamma":
         out = np.where(
-            xv <= 0, 0.0, special.gammainc(params["shape"], np.maximum(xv, 0) / params["scale"])
+            xv <= 0, 0.0, gammainc(params["shape"], np.maximum(xv, 0) / params["scale"])
         )
     elif family == "weibull":
         out = np.where(

@@ -64,6 +64,8 @@ class SceneSpec:
         if self.noise_stddev < 0:
             raise InvalidSpec("negative noise stddev")
         bg = self.background_map()
+        if bg.shape != (self.height, self.width):
+            raise InvalidSpec(f"background is {bg.shape}, not {(self.height, self.width)}")
         for ev in self.vehicle_events:
             if not (0 <= ev.enter_frame < ev.exit_frame <= self.frame_count):
                 raise InvalidSpec(f"bad event window {ev.enter_frame}..{ev.exit_frame}")
@@ -77,9 +79,29 @@ class SceneSpec:
 
     @staticmethod
     def from_json(text: str) -> "SceneSpec":
-        obj = json.loads(text)
-        events = tuple(VehicleEvent(**ev) for ev in obj.pop("vehicle_events"))
-        return SceneSpec(vehicle_events=events, **obj)
+        """Parse a spec; malformed JSON, a missing or unknown key, or a value of
+        the wrong type raises InvalidSpec (with the line for bad JSON)."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidSpec(f"line {exc.lineno}: {exc.msg}") from exc
+        try:
+            events = tuple(VehicleEvent(**ev) for ev in obj.pop("vehicle_events"))
+            spec = SceneSpec(vehicle_events=events, **obj)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise InvalidSpec(f"not a scene spec ({type(exc).__name__}: {exc})") from exc
+        ints = [spec.width, spec.height, spec.frame_count, spec.seed]
+        ints += [v for ev in events for v in vars(ev).values()]
+        if not all(type(v) is int for v in ints) or type(spec.noise_stddev) not in (int, float):
+            raise InvalidSpec(
+                "sizes, frame indices, positions, intensities and seed must be"
+                " integers, and noise_stddev a number"
+            )
+        try:
+            spec.background_map()
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpec(f"background is not a number or a grid of numbers ({exc})") from exc
+        return spec
 
     def to_json(self) -> str:
         obj = {

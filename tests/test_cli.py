@@ -285,6 +285,28 @@ def test_stages_that_do_not_fit_never_import_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_fit_and_report_never_import_scipy(corpus):
+    for cmd in ("clean", "density"):
+        run_ok("--set", f"data_root={corpus}", cmd, "--city", "sydney")
+    code = (
+        "import sys\n"
+        "import densigraph.statfit\n"
+        "from densigraph.cli import run\n"
+        f"root = {str(corpus)!r}\n"
+        "for cmd in ('fit', 'lrd', 'report'):\n"
+        "    assert run(['--set', 'data_root=' + root, cmd, '--city', 'sydney']) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(densigraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+    assert (corpus / "sydney" / "report" / "cdf_cam1.csv").exists()
+
+
 class TestUnsafeIds:
     @pytest.mark.parametrize("bad", ["", "../../esc", "a,b"])
     @pytest.mark.parametrize("flag", ["--camera-id", "--city"])
@@ -338,6 +360,89 @@ class TestCorruptInputs:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert str(labels) in err and "sydney/nope.pgm" in err
+
+
+    def synth_argv(self, tmp_path, scene):
+        return [
+            "--set", f"data_root={tmp_path / 'data'}",
+            "synth", "--scene", str(scene), "--city", "sydney", "--camera-id", "cam1",
+        ]
+
+    def test_torn_scene_json_is_data_error(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        text = json.dumps(json.loads(synth.random_scene_spec(5, frame_count=3).to_json()), indent=1)
+        scene.write_text(text[: len(text) // 2])
+        assert run(self.synth_argv(tmp_path, scene)) == 2
+        err = capsys.readouterr().err
+        line = text[: len(text) // 2].count("\n") + 1
+        assert f"{scene}: line {line}:" in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"drop": "vehicle_events"},
+            {"drop": "width"},
+            {"set": ("colour", 3)},
+            {"set": ("width", "100")},
+            {"set": ("noise_stddev", None)},
+            {"set": ("background", [[1, 2], [3, 4]])},
+            {"set": ("vehicle_events", [{"x": 1}])},
+            {"set": ("vehicle_events", 7)},
+        ],
+        ids=[
+            "no-events", "no-width", "unknown-key", "str-width", "null-noise",
+            "background-shape", "bad-event", "events-not-list",
+        ],
+    )
+    def test_malformed_scene_is_data_error(self, tmp_path, capsys, edit):
+        obj = json.loads(synth.random_scene_spec(5, frame_count=3).to_json())
+        if "drop" in edit:
+            del obj[edit["drop"]]
+        else:
+            key, value = edit["set"]
+            obj[key] = value
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(obj))
+        assert run(self.synth_argv(tmp_path, scene)) == 2
+        err = capsys.readouterr().err
+        assert str(scene) in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
+    def test_torn_labels_json_is_data_error(self, corpus, tmp_path, capsys):
+        labels = tmp_path / "labels.json"
+        labels.write_text('[\n {"relative_path": "sydney/a.pgm",\n  "lab')
+        argv = ["--set", f"data_root={corpus}", "clean", "--city", "sydney", "--labels", str(labels)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{labels}: line 3:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"relative_path": "PATH"}, {"label": "regular"}, "PATH", None],
+        ids=["no-label", "no-path", "string", "null"],
+    )
+    def test_malformed_labels_entry_is_data_error(self, corpus, tmp_path, capsys, entry):
+        stored = ingestion.scan_manifest(corpus, city="sydney")[0].relative_path
+        if isinstance(entry, dict):
+            entry = {k: stored if v == "PATH" else v for k, v in entry.items()}
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps([{"relative_path": stored, "label": "regular"}, entry]))
+        argv = ["--set", f"data_root={corpus}", "clean", "--city", "sydney", "--labels", str(labels)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{labels}: entry 1 needs relative_path and label" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("labels_obj", [{"a": 1}, [{"relative_path": "PATH", "label": "odd"}]])
+    def test_labels_not_a_labeled_list_is_data_error(self, corpus, tmp_path, capsys, labels_obj):
+        stored = ingestion.scan_manifest(corpus, city="sydney")[0].relative_path
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps(labels_obj).replace("PATH", stored))
+        argv = ["--set", f"data_root={corpus}", "clean", "--city", "sydney", "--labels", str(labels)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert str(labels) in err and "Traceback" not in err
 
 
 class TestLowConfidence:

@@ -4,19 +4,26 @@ import numpy as np
 import pytest
 
 from densigraph import synth
-from densigraph.errors import AllFitsFailed, DegenerateSample, NonPositiveSample
+from densigraph import statfit
+from densigraph.errors import AllFitsFailed, DegenerateSample, NoConvergence, NonPositiveSample
 from densigraph.statfit import (
     FAMILIES,
     cdf_eval,
+    digamma,
+    erf,
     fit_exponential,
     fit_gamma,
     fit_loglogistic,
     fit_normal,
     fit_weibull,
+    gammainc,
     ks_critical_95,
     ks_statistic,
     rank_fits,
+    trigamma,
 )
+
+EULER_GAMMA = 0.5772156649015329
 
 
 class TestExponential:
@@ -183,3 +190,102 @@ class TestRankFits:
 
     def test_families_order_is_legend_order(self):
         assert FAMILIES == ("exponential", "gamma", "loglogistic", "normal", "weibull")
+
+
+class TestSpecialFunctionsClosedForm:
+    def test_digamma_at_one_and_half(self):
+        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-15)
+        assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2 * math.log(2), abs=1e-15)
+
+    def test_digamma_recurrence(self):
+        for x in np.geomspace(1e-3, 1e4, 301):
+            # the sum cancels for small x, so scale by its larger term
+            want = digamma(x) + 1 / x
+            assert abs(digamma(x + 1) - want) <= 1e-13 * max(1.0, abs(digamma(x))), x
+
+    def test_trigamma_at_one_and_half(self):
+        assert trigamma(1.0) == pytest.approx(math.pi**2 / 6, rel=1e-15)
+        assert trigamma(0.5) == pytest.approx(math.pi**2 / 2, rel=1e-15)
+
+    def test_gammainc_shape_one_is_exponential(self):
+        x = np.linspace(0, 40, 401)
+        np.testing.assert_allclose(gammainc(1.0, x), -np.expm1(-x), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 25])
+    def test_gammainc_integer_shape(self, n):
+        x = np.linspace(0, 4 * n + 20, 301)
+        want = [
+            1 - math.exp(-v) * sum(v**k / math.factorial(k) for k in range(n)) for v in x
+        ]
+        np.testing.assert_allclose(gammainc(float(n), x), want, rtol=0, atol=1e-13)
+
+    def test_gammainc_half_is_erf_of_root(self):
+        x = np.linspace(0, 30, 301)
+        want = [math.erf(math.sqrt(v)) for v in x]
+        np.testing.assert_allclose(gammainc(0.5, x), want, rtol=0, atol=1e-15)
+
+    def test_gammainc_edges(self):
+        p = gammainc(2.0, np.array([0.0, np.inf, np.nan]))
+        assert p[0] == 0.0 and p[1] == 1.0 and np.isnan(p[2])
+
+    def test_iteration_cap_raises_instead_of_returning(self):
+        with pytest.raises(NoConvergence):
+            statfit._gammainc_series(50.0, np.array([49.0]), 5)
+        with pytest.raises(NoConvergence):
+            statfit._gammaincc_fraction(50.0, np.array([52.0]), 5)
+
+    def test_erf_keeps_scalars_scalar(self):
+        for x in (0.5, np.float64(0.5), np.asarray(0.5)):
+            assert isinstance(erf(x), float) and erf(x) == math.erf(0.5)
+        out = erf(np.array([[-1.0, 0.0], [1.0, 2.0]]))
+        assert out.dtype == np.float64 and out.shape == (2, 2)
+        assert out[1, 1] == math.erf(2.0)
+
+
+class TestSpecialFunctionsAgainstScipy:
+    def test_digamma(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.geomspace(1e-3, 1e4, 2001)
+        ours = np.array([digamma(v) for v in x])
+        ref = special.digamma(x)
+        # absolute, scaled by |psi| away from its root near 1.4616
+        assert (np.abs(ours - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))).all()
+
+    def test_trigamma(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.geomspace(1e-3, 1e4, 2001)
+        ours = np.array([trigamma(v) for v in x])
+        np.testing.assert_allclose(ours, special.polygamma(1, x), rtol=1e-12, atol=0)
+
+    def test_erf(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.linspace(-8, 8, 20001)
+        assert np.abs(erf(x) - special.erf(x)).max() <= 4.5e-16
+
+    def test_gammainc(self):
+        special = pytest.importorskip("scipy.special")
+        for a in np.geomspace(0.01, 1e3, 61):
+            x = np.linspace(0, a + 50 * math.sqrt(a) + 50, 501)
+            err = np.abs(gammainc(a, x) - special.gammainc(a, x)).max()
+            assert err <= 1e-12, a
+
+    @pytest.mark.parametrize("a", [1e4, 1e5, 1e6])
+    def test_gammainc_large_shape(self, a):
+        special = pytest.importorskip("scipy.special")
+        x = np.linspace(0, a + 50 * math.sqrt(a) + 50, 501)
+        ours = gammainc(a, x)
+        assert not np.isnan(ours).any()
+        assert np.abs(ours - special.gammainc(a, x)).max() <= 1e-8
+
+    @pytest.mark.parametrize("shape", [0.3, 2.0, 40.0])
+    def test_fit_gamma_matches_scipy_newton(self, shape):
+        special = pytest.importorskip("scipy.special")
+        x = synth.sample_distribution("gamma", {"shape": shape, "scale": 3}, 2000, 31)
+        s = math.log(x.mean()) - np.log(x).mean()
+        k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+        for _ in range(100):
+            step = (math.log(k) - special.digamma(k) - s) / (1.0 / k - special.polygamma(1, k))
+            k -= step
+            if abs(step) < 1e-10:
+                break
+        assert fit_gamma(x)["shape"] == pytest.approx(k, rel=1e-12)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -44,6 +45,37 @@ class TestRenderScene:
     def test_scene_json_round_trip(self):
         spec = synth.random_scene_spec(3, frame_count=50)
         assert synth.SceneSpec.from_json(spec.to_json()) == spec
+
+    def test_scene_json_torn_names_line(self):
+        text = json.dumps(json.loads(synth.random_scene_spec(3, frame_count=5).to_json()), indent=1)
+        with pytest.raises(InvalidSpec, match=r"^line \d+: "):
+            synth.SceneSpec.from_json(text[:-10])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"width": 4}',
+            '{"vehicle_events": [], "width": 4}',
+            '{"vehicle_events": [{"x": 1}], "width": 4, "height": 4, "background": 0,'
+            ' "noise_stddev": 0, "frame_count": 1, "seed": 0}',
+            '{"vehicle_events": [], "width": 4, "height": 4, "background": 0,'
+            ' "noise_stddev": 0, "frame_count": 1, "seed": 0, "extra": 1}',
+            '{"vehicle_events": [], "width": 4.0, "height": 4, "background": 0,'
+            ' "noise_stddev": 0, "frame_count": 1, "seed": 0}',
+            '{"vehicle_events": [], "width": 4, "height": 4, "background": "grey",'
+            ' "noise_stddev": 0, "frame_count": 1, "seed": 0}',
+        ],
+        ids=["list", "missing-events", "missing-key", "bad-event", "unknown-key", "float-width", "str-background"],
+    )
+    def test_scene_json_malformed(self, text):
+        with pytest.raises(InvalidSpec):
+            synth.SceneSpec.from_json(text)
+
+    def test_background_shape_must_match(self):
+        spec = synth.SceneSpec(4, 3, np.zeros((4, 3)), (), 0.0, 1, 0)
+        with pytest.raises(InvalidSpec, match="background"):
+            synth.render_scene_sequence(spec)
 
 
 class TestCoverageTruth:
