@@ -16,13 +16,11 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -37,15 +35,6 @@ from .pgmio import decode_image, write_p5
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
-
-# Smallest frame, in pixels, for which the density stage runs one thread per
-# CPU. Below it per-frame Python work holds the interpreter lock, so a second
-# thread adds CPU and saves little wall time. Bare density child on 2 vCPUs,
-# CPU s (wall s), one worker against two: 6,912 px (72x96) 1.27 (1.03) against
-# 2.06 (1.60); 76,800 px (240x320) 1.28 (1.15) against 1.63 (1.12); 307,200 px
-# (480x640) 1.41 (1.28) against 1.45 (0.89).
-POOL_MIN_PIXELS = 1 << 17
-
 
 @dataclass(frozen=True)
 class Config:
@@ -154,11 +143,6 @@ def _decoded_frames(
         yield density_mod.Frame(rec.camera_id, rec.captured_at, img)
 
 
-def density_workers(pixels: int) -> int:
-    """Density pool size for frames of `pixels` pixels."""
-    return (os.cpu_count() or 1) if pixels >= POOL_MIN_PIXELS else 1
-
-
 def _safe_id(value: str) -> str:
     """argparse type for --city/--camera-id: reject ids ingestion would refuse."""
     try:
@@ -166,6 +150,26 @@ def _safe_id(value: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return value
+
+
+def _utc_time(value: str) -> datetime:
+    """argparse type for --t0: an ISO 8601 time, read as UTC when it has no offset."""
+    try:
+        t = datetime.fromisoformat(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return t.replace(tzinfo=timezone.utc) if t.tzinfo is None else t.astimezone(timezone.utc)
+
+
+def _step_seconds(value: str) -> float:
+    """argparse type for --step: a finite number of seconds above 0."""
+    try:
+        step = float(value)
+    except ValueError:
+        step = math.nan
+    if not (math.isfinite(step) and step > 0):
+        raise argparse.ArgumentTypeError(f"expected finite seconds > 0, got {value!r}")
+    return step
 
 
 # --- subcommands ---
@@ -191,10 +195,9 @@ def cmd_synth(cfg: Config, args) -> int:
         longitude=0.0,
         refresh_interval=args.step,
     )
-    t0 = datetime.fromisoformat(args.t0).replace(tzinfo=timezone.utc)
     try:
         spec = synth.SceneSpec.from_json(Path(args.scene).read_text())
-        frames = synth.frames_from_spec(spec, args.camera_id, t0, args.step)
+        frames = synth.frames_from_spec(spec, args.camera_id, args.t0, args.step)
     except InvalidSpec as exc:
         raise InvalidSpec(f"{args.scene}: {exc}") from exc
     store = ingestion.FrameStore(cfg.data_root)
@@ -273,29 +276,15 @@ def cmd_density(cfg: Config, args) -> int:
         if rec.status == "stored" and rec.relative_path not in removed:
             kept.append(rec)
 
-    streams = {cam: _decoded_frames(cfg, recs) for cam, recs in by_camera.items()}
-    # the first decoded frame sizes the pool, then goes back to the head of
-    # its stream; with no decodable frame, process_sequence reports the error
-    first = None
-    for camera_id, stream in streams.items():
-        first = next(stream, None)
-        if first is not None:
-            streams[camera_id] = itertools.chain([first], stream)
-            break
-    workers = density_workers(first.pixels.size if first is not None else 0)
-
-    def one(camera_id: str) -> int:
+    total = 0
+    for camera_id, recs in by_camera.items():
         records = density_mod.process_sequence(
-            streams[camera_id], z=cfg.window_z, tau=cfg.tau
+            _decoded_frames(cfg, recs), z=cfg.window_z, tau=cfg.tau
         )
         out = cfg.data_root / args.city / "density" / f"{camera_id}.csv"
         _atomic_write(out, density_mod.write_trace_csv(records))
-        return len(records)
-
-    # each worker holds at most window_z decoded frames of its camera
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        counts = list(pool.map(one, by_camera))
-    _log(f"density: {sum(counts)} records across {len(by_camera)} cameras")
+        total += len(records)
+    _log(f"density: {total} records across {len(by_camera)} cameras")
     return 0
 
 
@@ -303,6 +292,12 @@ def _read_city_traces(cfg: Config, city: str) -> dict[str, list]:
     folder = cfg.data_root / city / "density"
     if not folder.exists():
         raise DensigraphError(f"run the density stage first: {folder} missing")
+    clash = folder / f"{city}.csv"
+    if clash.exists():
+        raise DensigraphError(
+            f"{clash}: camera id {city!r} is its city's name, so its fits would "
+            "collide with the pooled city fits"
+        )
     traces = {}
     for p in sorted(folder.glob("*.csv")):
         try:
@@ -383,6 +378,7 @@ def cmd_report(cfg: Config, args) -> int:
         if not needed.exists():
             raise DensigraphError(f"report: missing artifact directory {needed}; run earlier stages")
     out_dir = city_dir / "report"
+    traces = _read_city_traces(cfg, args.city)
 
     fits = {
         p.stem: json.loads(p.read_text())
@@ -402,7 +398,6 @@ def cmd_report(cfg: Config, args) -> int:
     _atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True) + "\n")
 
     # CDF plot data: empirical + each fitted family on a common grid
-    traces = _read_city_traces(cfg, args.city)
     for subject, report in fits.items():
         if subject in traces:
             sample = np.array([r.normalized for r in traces[subject]])
@@ -451,8 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True, help="SceneSpec JSON file")
     p.add_argument("--city", required=True, type=_safe_id)
     p.add_argument("--camera-id", required=True, type=_safe_id)
-    p.add_argument("--t0", default="2024-01-01T06:00:00", help="first capture time (UTC)")
-    p.add_argument("--step", type=float, default=60.0, help="seconds between frames")
+    p.add_argument(
+        "--t0", type=_utc_time, default="2024-01-01T06:00:00",
+        help="first capture time, ISO 8601 (UTC unless it has an offset)",
+    )
+    p.add_argument("--step", type=_step_seconds, default=60.0, help="seconds between frames")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("clean", help="outlier detection and removal")

@@ -33,9 +33,6 @@ __all__ = [
     "read_trace_csv",
 ]
 
-DEFAULT_TAU = 25
-DEFAULT_WINDOW = 100
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -128,11 +125,7 @@ def _frame_density(frame: Frame, bg: BackgroundModel, tau: float) -> DensityReco
     return DensityRecord(frame.camera_id, frame.captured_at, d, d / denom)
 
 
-def process_sequence(
-    frames: Iterable[Frame],
-    z: int = DEFAULT_WINDOW,
-    tau: float = DEFAULT_TAU,
-) -> list[DensityRecord]:
+def process_sequence(frames: Iterable[Frame], z: int, tau: float) -> list[DensityRecord]:
     """Run the full density pipeline over frames in capture order.
 
     The background is built once from the first z frames and held constant.

@@ -231,13 +231,8 @@ class FrameStore:
             fh.write(record.to_json() + "\n")
 
 
-def scan_manifest(
-    root: str | Path,
-    camera_id: str | None = None,
-    city: str | None = None,
-    time_range: tuple[datetime, datetime] | None = None,
-) -> list[ManifestRecord]:
-    """All manifest records under root, filtered conjunctively and sorted by
+def scan_manifest(root: str | Path, city: str | None = None) -> list[ManifestRecord]:
+    """All manifest records under root, or only those of one city, sorted by
     (camera_id, captured_at). Duplicates and failures are included.
 
     A line that is not a well-formed record raises CorruptManifest naming
@@ -261,12 +256,6 @@ def scan_manifest(
                 raise CorruptManifest(
                     f"{manifest}:{lineno}: bad manifest record ({type(exc).__name__}: {exc})"
                 ) from exc
-            if camera_id is not None and rec.camera_id != camera_id:
-                continue
-            if time_range is not None and not (
-                time_range[0] <= rec.captured_at <= time_range[1]
-            ):
-                continue
             records.append(rec)
     records.sort(key=lambda r: (r.camera_id, r.captured_at))
     return records

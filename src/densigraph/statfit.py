@@ -331,8 +331,6 @@ _FITTERS = {
     "weibull": fit_weibull,
 }
 
-POSITIVE_SUPPORT = frozenset(("exponential", "gamma", "loglogistic", "weibull"))
-
 
 def fit_family(family: str, sample) -> dict:
     if family not in _FITTERS:

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import weakref
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -163,6 +165,21 @@ def random_frames(seed, count, shape=(8, 8)):
     return [rng.integers(0, 256, shape, dtype=np.uint8) for _ in range(count)]
 
 
+def hand_densities(arrays, z, tau):
+    """Oracle: raw densities against the mean of the first z frames, by hand."""
+    bg = np.stack(arrays[:z]).astype(np.float64).mean(axis=0)
+    expected = []
+    for a in arrays:
+        diff = a - bg
+        expected.append(int(np.rint(diff[diff > tau]).sum()))
+    return expected
+
+
+def trace_densities(root, camera_id, city="testcity"):
+    rows = (root / city / "density" / f"{camera_id}.csv").read_text().splitlines()[1:]
+    return [int(row.split(",")[2]) for row in rows]
+
+
 class TestDensityStage:
     def test_scans_manifest_once(self, tmp_path, monkeypatch):
         root = tmp_path / "data"
@@ -181,22 +198,50 @@ class TestDensityStage:
             trace = (root / "testcity" / "density" / f"cam{i}.csv").read_text()
             assert len(trace.splitlines()) == 13
 
-    def test_undecodable_frame_in_window_is_skipped(self, tmp_path):
-        # oracle: mean of the first z decodable frames, thresholded by hand
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_undecodable_frame_in_window_is_skipped(self, tmp_path, at):
         z, tau = 4, 25.0
         arrays = random_frames(5, 10)
         payloads = [write_p5(a) for a in arrays]
-        payloads.insert(2, b"not an image")
+        payloads.insert(at, b"not an image")
         root = tmp_path / "data"
         store_city(root, {"cam1": payloads})
         run_ok("--set", f"data_root={root}", "--set", f"window_z={z}", "density", "--city", "testcity")
-        bg = np.stack(arrays[:z]).astype(np.float64).mean(axis=0)
-        expected = []
-        for a in arrays:
-            diff = a - bg
-            expected.append(int(np.rint(diff[diff > tau]).sum()))
-        rows = (root / "testcity" / "density" / "cam1.csv").read_text().splitlines()[1:]
-        assert [int(row.split(",")[2]) for row in rows] == expected
+        assert trace_densities(root, "cam1") == hand_densities(arrays, z, tau)
+
+    def test_one_thread_holds_at_most_z_plus_one_frames(self, tmp_path, monkeypatch):
+        z, tau = 3, 25.0
+        arrays = {f"cam{i}": random_frames(i, 6, shape=(480, 640)) for i in range(3)}
+        root = tmp_path / "data"
+        store_city(root, {cam: map(write_p5, frames) for cam, frames in arrays.items()})
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+        def no_thread(thread):
+            raise AssertionError(f"density started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        decode, refs, peak = cli.decode_image, [], 0
+
+        def tracked_decode(data):
+            nonlocal peak
+            img = decode(data)
+            refs.append(weakref.ref(img))
+            peak = max(peak, sum(r() is not None for r in refs))
+            return img
+
+        monkeypatch.setattr(cli, "decode_image", tracked_decode)
+        run_ok("--set", f"data_root={root}", "--set", f"window_z={z}", "density", "--city", "testcity")
+        assert len(refs) == 18 and peak <= z + 1
+        for cam, frames in arrays.items():
+            assert trace_densities(root, cam) == hand_densities(frames, z, tau)
+
+    def test_no_decodable_frame_exits_2(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        store_city(root, {"cam0": [b"not an image", b"nor this"]})
+        argv = ["--set", f"data_root={root}", "--set", "window_z=3", "density", "--city", "testcity"]
+        assert run(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (root / "testcity" / "density" / "cam0.csv").exists()
 
     def test_size_change_mid_stream_exits_2_without_trace(self, tmp_path, capsys):
         frames = random_frames(6, 8) + random_frames(7, 1, shape=(9, 8)) + random_frames(8, 3)
@@ -206,67 +251,6 @@ class TestDensityStage:
         assert run(argv) == 2
         assert "shape (9, 8) != (8, 8)" in capsys.readouterr().err
         assert not (root / "testcity" / "density" / "cam1.csv").exists()
-
-
-@pytest.fixture()
-def pool_sizes(monkeypatch):
-    """max_workers of every density pool the CLI creates, in order."""
-    sizes = []
-
-    class RecordingPool(cli.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    return sizes
-
-
-class TestDensityPool:
-    def test_worker_count_follows_frame_size(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert cli.density_workers(72 * 96) == 1
-        assert cli.density_workers(240 * 320) == 1
-        assert cli.density_workers(480 * 640) == 4
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert cli.density_workers(480 * 640) == 1
-
-    def test_traces_identical_whatever_the_worker_count(self, tmp_path, monkeypatch, pool_sizes):
-        root = tmp_path / "data"
-        store_city(
-            root,
-            {f"cam{i}": map(write_p5, random_frames(i, 6, shape=(480, 640))) for i in range(3)},
-        )
-        traces = []
-        for cpus in (1, 4):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            run_ok("--set", f"data_root={root}", "--set", "window_z=3", "density", "--city", "testcity")
-            traces.append(
-                {p.name: p.read_bytes() for p in (root / "testcity" / "density").glob("*.csv")}
-            )
-        assert pool_sizes == [1, 4]
-        assert len(traces[0]) == 3 and traces[0] == traces[1]
-        assert all(len(t.splitlines()) == 1 + 6 for t in traces[0].values())
-
-    def test_small_frames_use_one_worker(self, tmp_path, monkeypatch, pool_sizes):
-        root = tmp_path / "data"
-        # the first kept frame is undecodable: the pool is sized from the next
-        payloads = [b"not an image"] + [write_p5(a) for a in random_frames(1, 5)]
-        store_city(root, {"cam0": payloads, "cam1": map(write_p5, random_frames(2, 5))})
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        run_ok("--set", f"data_root={root}", "--set", "window_z=3", "density", "--city", "testcity")
-        assert pool_sizes == [1]
-        rows = (root / "testcity" / "density" / "cam0.csv").read_text().splitlines()
-        assert len(rows) == 1 + 5
-
-    def test_no_decodable_frame_uses_one_worker_and_exits_2(self, tmp_path, monkeypatch, pool_sizes, capsys):
-        root = tmp_path / "data"
-        store_city(root, {"cam0": [b"not an image", b"nor this"]})
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        argv = ["--set", f"data_root={root}", "--set", "window_z=3", "density", "--city", "testcity"]
-        assert run(argv) == 2
-        assert pool_sizes == [1]
-        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_stages_that_do_not_fit_never_import_scipy():
@@ -333,6 +317,46 @@ class TestUnsafeIds:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert str(catalog) in err and "'a,b'" in err and "Traceback" not in err
+
+
+class TestSynthFlags:
+    def synth_argv(self, tmp_path, *flags):
+        scene = tmp_path / "scene.json"
+        scene.write_text(synth.random_scene_spec(5, frame_count=3).to_json())
+        return [
+            "--set", f"data_root={tmp_path / 'data'}", "synth", "--scene", str(scene),
+            "--city", "sydney", "--camera-id", "cam1", *flags,
+        ]
+
+    @pytest.mark.parametrize(
+        "flag,bad",
+        [("--t0", "garbage"), ("--step", "-5"), ("--step", "0"), ("--step", "nan"), ("--step", "inf")],
+    )
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, flag, bad):
+        assert run(self.synth_argv(tmp_path, flag, bad)) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
+    def test_t0_offset_is_converted_to_utc(self, tmp_path):
+        for name, t0, first in [
+            ("aware", "2024-01-01T06:00:00+05:00", "2024-01-01T01:00:00Z"),
+            ("naive", "2024-01-01T06:00:00", "2024-01-01T06:00:00Z"),
+        ]:
+            (tmp_path / name).mkdir()
+            run_ok(*self.synth_argv(tmp_path / name, "--t0", t0))
+            records = ingestion.scan_manifest(tmp_path / name / "data", city="sydney")
+            assert ingestion.format_rfc3339(records[0].captured_at) == first
+
+
+def test_camera_named_like_its_city_is_data_error(tmp_path, capsys):
+    root = tmp_path / "data"
+    store_city(root, {"syd": map(write_p5, random_frames(3, 8))}, city="syd")
+    run_ok("--set", f"data_root={root}", "--set", "window_z=4", "density", "--city", "syd")
+    assert run(["--set", f"data_root={root}", "fit", "--city", "syd"]) == 2
+    err = capsys.readouterr().err
+    assert str(Path("density") / "syd.csv") in err and "Traceback" not in err
+    assert not (root / "syd" / "fits").exists()
 
 
 class TestCorruptInputs:

@@ -217,7 +217,7 @@ class TestProcessSequence:
 
     def test_insufficient_frames(self):
         with pytest.raises(InsufficientFrames):
-            process_sequence(make_frames([np.zeros((2, 2))] * 5), z=10)
+            process_sequence(make_frames([np.zeros((2, 2))] * 5), z=10, tau=25)
 
     def test_generator_equals_list(self):
         spec = synth.random_scene_spec(4, frame_count=130)
@@ -246,18 +246,18 @@ class TestProcessSequence:
         frames = make_frames(np.zeros((10, 2, 2)))
         frames[at], frames[at - 1] = frames[at - 1], frames[at]
         with pytest.raises(OutOfOrderTimestamp):
-            process_sequence(frames, z=5)
+            process_sequence(frames, z=5, tau=25)
 
     def test_shape_change_after_window_raises(self):
         arrays = [np.zeros((4, 4))] * 7 + [np.zeros((4, 5))] + [np.zeros((4, 4))]
         with pytest.raises(ShapeMismatch, match=r"\(4, 5\)"):
-            process_sequence(make_frames(arrays), z=5)
+            process_sequence(make_frames(arrays), z=5, tau=25)
 
     def test_camera_change_after_window_raises(self):
         frames = make_frames([np.zeros((2, 2))] * 6)
         frames[5] = Frame("cam2", frames[5].captured_at, frames[5].pixels)
         with pytest.raises(ShapeMismatch, match="mixed cameras"):
-            process_sequence(frames, z=5)
+            process_sequence(frames, z=5, tau=25)
 
 
 class TestTraceCsv:
