@@ -15,14 +15,22 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 
 from __future__ import annotations
 
+import os
+
+# OpenBLAS reads this once, when numpy loads it, and otherwise starts
+# nproc - 1 workers that busy-wait after start-up and after every BLAS call.
+# The pipeline's only BLAS calls are a 2x2 np.linalg.solve in statfit's
+# Newton step and np.polyfit / resid @ resid over a handful of scales in
+# lrd, none large enough for a second thread. An operator's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
 import math
-import os
 import sys
 import tempfile
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterator
 
@@ -50,16 +58,24 @@ class Config:
     def load(path: str | None, overrides: list[str]) -> "Config":
         cfg = Config()
         if path:
-            obj = json.loads(Path(path).read_text())
-            cfg = Config(
-                data_root=Path(obj.get("data_root", "data")),
-                catalog_path=Path(obj["catalog_path"]) if obj.get("catalog_path") else None,
-                tau=float(obj.get("tau", 25.0)),
-                window_z=int(obj.get("window_z", 100)),
-                cluster_k=int(obj.get("cluster_k", 4)),
-                seed=int(obj.get("seed", 0)),
-                tz_offsets={k: float(v) for k, v in obj.get("tz_offsets", {}).items()},
-            )
+            try:
+                obj = json.loads(Path(path).read_text())
+                if not isinstance(obj, dict):
+                    raise TypeError("expected a JSON object")
+                tz_offsets = obj.get("tz_offsets", {})
+                if not isinstance(tz_offsets, dict):
+                    raise TypeError("tz_offsets must be a JSON object of city -> hours")
+                cfg = Config(
+                    data_root=Path(obj.get("data_root", "data")),
+                    catalog_path=Path(obj["catalog_path"]) if obj.get("catalog_path") else None,
+                    tau=float(obj.get("tau", 25.0)),
+                    window_z=int(obj.get("window_z", 100)),
+                    cluster_k=int(obj.get("cluster_k", 4)),
+                    seed=int(obj.get("seed", 0)),
+                    tz_offsets={k: float(v) for k, v in tz_offsets.items()},
+                )
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}: {exc}") from exc
         env_root = os.environ.get("DENSIGRAPH_ROOT")
         if env_root:
             cfg = replace(cfg, data_root=Path(env_root))
@@ -156,20 +172,36 @@ def _utc_time(value: str) -> datetime:
     """argparse type for --t0: an ISO 8601 time, read as UTC when it has no offset."""
     try:
         t = datetime.fromisoformat(value)
-    except ValueError as exc:
+        return t.replace(tzinfo=timezone.utc) if t.tzinfo is None else t.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    return t.replace(tzinfo=timezone.utc) if t.tzinfo is None else t.astimezone(timezone.utc)
 
 
 def _step_seconds(value: str) -> float:
-    """argparse type for --step: a finite number of seconds above 0."""
+    """argparse type for --step: a finite number of seconds, at least 1.
+
+    Stored frames are named and timestamped to the whole second, so a
+    shorter step would put two frames in one second.
+    """
     try:
         step = float(value)
     except ValueError:
         step = math.nan
-    if not (math.isfinite(step) and step > 0):
-        raise argparse.ArgumentTypeError(f"expected finite seconds > 0, got {value!r}")
+    if not (math.isfinite(step) and step >= 1):
+        raise argparse.ArgumentTypeError(f"expected finite seconds >= 1, got {value!r}")
     return step
+
+
+def _check_capture_grid(args, frame_count: int) -> None:
+    """Fail before rendering when the last capture time leaves datetime's range."""
+    try:
+        args.t0 + timedelta(seconds=(frame_count - 1) * args.step)
+    except OverflowError as exc:
+        raise DensigraphError(
+            f"{args.scene}: frame_count {frame_count} frames from --t0 "
+            f"{ingestion.format_rfc3339(args.t0)} every --step {args.step:g} s "
+            f"end past year {datetime.max.year}"
+        ) from exc
 
 
 # --- subcommands ---
@@ -197,6 +229,7 @@ def cmd_synth(cfg: Config, args) -> int:
     )
     try:
         spec = synth.SceneSpec.from_json(Path(args.scene).read_text())
+        _check_capture_grid(args, spec.frame_count)
         frames = synth.frames_from_spec(spec, args.camera_id, args.t0, args.step)
     except InvalidSpec as exc:
         raise InvalidSpec(f"{args.scene}: {exc}") from exc
@@ -485,7 +518,7 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else USAGE_ERROR
     try:
         cfg = Config.load(args.config, args.overrides)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"densigraph: bad config: {exc}", file=sys.stderr)
         return USAGE_ERROR
     _log(f"config: {cfg.describe()}")

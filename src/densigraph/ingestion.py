@@ -161,6 +161,10 @@ def dedup_check(data: bytes, last_hash: str | None) -> tuple[bool, str]:
     return digest == last_hash, digest
 
 
+def _whole_second(ts: datetime) -> datetime:
+    return ts.astimezone(timezone.utc).replace(microsecond=0)
+
+
 def layout_path(camera: CameraMeta, captured_at: datetime, ext: str) -> str:
     ts = captured_at.astimezone(timezone.utc)
     return f"{camera.city}/{camera.camera_id}/{ts:%Y%m%d}/{ts:%H%M%S}.{ext}"
@@ -169,9 +173,11 @@ def layout_path(camera: CameraMeta, captured_at: datetime, ext: str) -> str:
 class FrameStore:
     """Write frames into the storage layout and append manifest records.
 
-    Per-camera streams are serialized: captured_at must strictly increase
-    for a given (city, camera_id). A city's manifest is read on the first
-    store into that city, so other cities' manifests are never parsed.
+    Per-camera streams are serialized: captured_at must fall in a later
+    whole second than the last frame stored for its (city, camera_id), the
+    resolution of both the layout path and the manifest. A city's manifest
+    is read on the first store into that city, so other cities' manifests
+    are never parsed.
     """
 
     def __init__(self, root: str | Path):
@@ -196,9 +202,10 @@ class FrameStore:
             self._resume(camera.city)
         key = (camera.city, camera.camera_id)
         last = self._last_ts.get(key)
-        if last is not None and captured_at <= last:
+        if last is not None and _whole_second(captured_at) <= _whole_second(last):
             raise OutOfOrderTimestamp(
-                f"{camera.camera_id}: {captured_at} <= last stored {last}"
+                f"{camera.camera_id}: {captured_at} is not in a later second "
+                f"than the last stored {last}"
             )
         rel = layout_path(camera, captured_at, sniff_extension(data))
         if not data:
@@ -347,6 +354,6 @@ def crawl(
             try:
                 records.append(store.store_frame(camera, now, body or b""))
             except OutOfOrderTimestamp:
-                pass  # clock did not advance between polls; retry next round
+                pass  # polled in the second of the last stored frame; retry next round
             next_due[camera.camera_id] = decision
     return records

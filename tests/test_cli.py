@@ -137,10 +137,24 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"jobs": 2, "tau": 10}))
         assert Config.load(str(cfg), []).tau == 10.0
 
-    def test_bad_config_file_value(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ('{"tau": -1}', "tau"),
+            ("[]", "c.json"),
+            ('{"tau": null}', "c.json"),
+            ('{"tz_offsets": 5}', "c.json"),
+            ('{"window_z": Infinity}', "c.json"),
+            ('{"tau": ', "c.json"),
+        ],
+        ids=["tau-negative", "list", "tau-null", "tz-offsets-number", "window-z-inf", "torn-json"],
+    )
+    def test_bad_config_file_value(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"tau": -1}))
+        cfg.write_text(text)
         assert run(["--config", str(cfg), "density", "--city", "x"]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     def test_env_var_overrides_file(self, tmp_path, monkeypatch, corpus):
         cfg = tmp_path / "c.json"
@@ -269,6 +283,33 @@ def test_stages_that_do_not_fit_never_import_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or os.cpu_count() == 1,
+    reason="needs /proc/self/task and more than one CPU for OpenBLAS to start workers",
+)
+@pytest.mark.parametrize("setting,threads", [(None, "1"), ("2", "2")])
+def test_cli_pins_openblas_to_one_thread_unless_set(setting, threads):
+    code = (
+        "import os\n"
+        "import densigraph.cli\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    src = str(Path(densigraph.__file__).resolve().parents[1])
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = src
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    tasks, value = out.stdout.split()
+    assert value == threads
+    if setting is None:
+        assert tasks == "1"
+
+
 def test_fit_and_report_never_import_scipy(corpus):
     for cmd in ("clean", "density"):
         run_ok("--set", f"data_root={corpus}", cmd, "--city", "sydney")
@@ -330,12 +371,24 @@ class TestSynthFlags:
 
     @pytest.mark.parametrize(
         "flag,bad",
-        [("--t0", "garbage"), ("--step", "-5"), ("--step", "0"), ("--step", "nan"), ("--step", "inf")],
+        [
+            ("--t0", "garbage"), ("--t0", "0001-01-01T00:00:00+05:00"), ("--step", "-5"),
+            ("--step", "0"), ("--step", "0.5"), ("--step", "nan"), ("--step", "inf"),
+        ],
     )
     def test_bad_value_is_usage_error(self, tmp_path, capsys, flag, bad):
         assert run(self.synth_argv(tmp_path, flag, bad)) == 1
         err = capsys.readouterr().err
         assert f"argument {flag}" in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize(
+        "flags", [("--step", "1e300"), ("--t0", "9999-12-31T23:59:00")], ids=["step", "t0"]
+    )
+    def test_capture_grid_past_datetime_range_is_data_error(self, tmp_path, capsys, flags):
+        assert run(self.synth_argv(tmp_path, *flags)) == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and "frame_count 3" in err and "Traceback" not in err
         assert not (tmp_path / "data").exists()
 
     def test_t0_offset_is_converted_to_utc(self, tmp_path):

@@ -132,6 +132,15 @@ class TestStoreFrame:
         with pytest.raises(OutOfOrderTimestamp):
             store.store_frame(camera(), T0, b"y")
 
+    def test_same_second_is_out_of_order(self, tmp_path):
+        store = FrameStore(tmp_path)
+        first = store.store_frame(camera(), T0 + timedelta(seconds=0.3), b"x")
+        with pytest.raises(OutOfOrderTimestamp):
+            store.store_frame(camera(), T0 + timedelta(seconds=0.7), b"y")
+        assert (tmp_path / first.relative_path).read_bytes() == b"x"
+        assert len(scan_manifest(tmp_path, city="sydney")) == 1
+        assert store.store_frame(camera(), T0 + timedelta(seconds=1), b"y").status == "stored"
+
     def test_reopened_store_remembers_last(self, tmp_path):
         FrameStore(tmp_path).store_frame(camera(), T0, b"x")
         with pytest.raises(OutOfOrderTimestamp):
