@@ -29,7 +29,7 @@ import json
 import math
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterator
@@ -44,53 +44,91 @@ from .pgmio import decode_image, write_p5
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
+
+# Config parsers: each takes a config file's JSON value or a --set string.
+
+
+def _integer(value) -> int:
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"expected an integer, got {value!r}")
+
+
+def _number(value) -> float:
+    if isinstance(value, str):
+        return float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"expected a number, got {value!r}")
+
+
+def _path(value) -> Path:
+    if isinstance(value, str) and value:
+        return Path(value)
+    raise TypeError(f"expected a non-empty path, got {value!r}")
+
+
+def _optional_path(value) -> Path | None:
+    return None if value is None else _path(value)
+
+
+def _hours_by_city(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected a JSON object of city -> hours")
+    return {city: _number(hours) for city, hours in value.items()}
+
+
+def _parse(parse, value, where: str):
+    try:
+        return parse(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _key(parse, default=MISSING, **kwargs):
+    """A Config field whose ``parse`` converts a config file's JSON value and
+    a --set string alike."""
+    return field(default=default, metadata={"parse": parse}, **kwargs)
+
+
 @dataclass(frozen=True)
 class Config:
-    data_root: Path = Path("data")
-    catalog_path: Path | None = None
-    tau: float = 25.0
-    window_z: int = 100
-    cluster_k: int = 4
-    seed: int = 0
-    tz_offsets: dict = field(default_factory=dict)  # city -> hours
+    data_root: Path = _key(_path, Path("data"))
+    catalog_path: Path | None = _key(_optional_path, None)
+    tau: float = _key(_number, 25.0)
+    window_z: int = _key(_integer, 100)
+    cluster_k: int = _key(_integer, 4)
+    seed: int = _key(_integer, 0)
+    # city -> hours; a JSON object, so only a config file can set it
+    tz_offsets: dict = _key(_hours_by_city, default_factory=dict)
 
     @staticmethod
     def load(path: str | None, overrides: list[str]) -> "Config":
-        cfg = Config()
+        keys = {f.name: f.metadata["parse"] for f in fields(Config)}
+        values = {}
         if path:
             try:
                 obj = json.loads(Path(path).read_text())
-                if not isinstance(obj, dict):
-                    raise TypeError("expected a JSON object")
-                tz_offsets = obj.get("tz_offsets", {})
-                if not isinstance(tz_offsets, dict):
-                    raise TypeError("tz_offsets must be a JSON object of city -> hours")
-                cfg = Config(
-                    data_root=Path(obj.get("data_root", "data")),
-                    catalog_path=Path(obj["catalog_path"]) if obj.get("catalog_path") else None,
-                    tau=float(obj.get("tau", 25.0)),
-                    window_z=int(obj.get("window_z", 100)),
-                    cluster_k=int(obj.get("cluster_k", 4)),
-                    seed=int(obj.get("seed", 0)),
-                    tz_offsets={k: float(v) for k, v in tz_offsets.items()},
-                )
-            except (TypeError, ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: expected a JSON object")
+            for key, parse in keys.items():
+                if key in obj:  # other keys are ignored
+                    values[key] = _parse(parse, obj[key], f"{path}: {key}")
         env_root = os.environ.get("DENSIGRAPH_ROOT")
         if env_root:
-            cfg = replace(cfg, data_root=Path(env_root))
+            values["data_root"] = Path(env_root)
         for item in overrides:
-            key, _, value = item.partition("=")
-            if not value:
+            key, sep, value = item.partition("=")
+            if not sep:
                 raise ValueError(f"--set expects key=value, got {item!r}")
-            if key in ("data_root", "catalog_path"):
-                cfg = replace(cfg, **{key: Path(value)})
-            elif key in ("tau",):
-                cfg = replace(cfg, tau=float(value))
-            elif key in ("window_z", "cluster_k", "seed"):
-                cfg = replace(cfg, **{key: int(value)})
-            else:
+            if key not in SET_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
+            values[key] = _parse(keys[key], value, f"--set {key}")
+        cfg = Config(**values)
         # the pixel kernel drops residuals <= tau, so tau < 0 would let
         # negative residuals into the trace
         if not (math.isfinite(cfg.tau) and cfg.tau >= 0):
@@ -99,21 +137,16 @@ class Config:
             raise ValueError(f"window_z must be >= 2, got {cfg.window_z}")
         if cfg.cluster_k < 2:
             raise ValueError(f"cluster_k must be >= 2, got {cfg.cluster_k}")
+        if cfg.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {cfg.seed}")
         return cfg
 
     def describe(self) -> str:
-        return json.dumps(
-            {
-                "data_root": str(self.data_root),
-                "catalog_path": str(self.catalog_path) if self.catalog_path else None,
-                "tau": self.tau,
-                "window_z": self.window_z,
-                "cluster_k": self.cluster_k,
-                "seed": self.seed,
-                "tz_offsets": self.tz_offsets,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), default=str, sort_keys=True)
+
+
+# every key but tz_offsets, whose value is a JSON object
+SET_KEYS = tuple(f.name for f in fields(Config) if f.name != "tz_offsets")
 
 
 def _log(msg: str) -> None:
@@ -467,17 +500,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="KEY=VALUE",
         dest="overrides",
-        help="override a config field (data_root, catalog_path, tau, window_z, cluster_k, seed)",
+        help=f"override a config field ({', '.join(SET_KEYS)})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    city = argparse.ArgumentParser(add_help=False)
+    city.add_argument("--city", required=True, type=_safe_id)
 
     p = sub.add_parser("crawl", help="poll cameras from the catalog")
     p.add_argument("--duration", type=float, required=True, help="seconds to run")
     p.set_defaults(func=cmd_crawl)
 
-    p = sub.add_parser("synth", help="render a scene spec into the data layout")
+    p = sub.add_parser("synth", parents=[city], help="render a scene spec into the data layout")
     p.add_argument("--scene", required=True, help="SceneSpec JSON file")
-    p.add_argument("--city", required=True, type=_safe_id)
     p.add_argument("--camera-id", required=True, type=_safe_id)
     p.add_argument(
         "--t0", type=_utc_time, default="2024-01-01T06:00:00",
@@ -486,26 +520,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_step_seconds, default=60.0, help="seconds between frames")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("clean", help="outlier detection and removal")
-    p.add_argument("--city", required=True, type=_safe_id)
+    p = sub.add_parser("clean", parents=[city], help="outlier detection and removal")
     p.add_argument("--labels", help="labeled seed JSON [{relative_path, label}]")
     p.set_defaults(func=cmd_clean)
 
-    p = sub.add_parser("density", help="extract density traces")
-    p.add_argument("--city", required=True, type=_safe_id)
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("fit", help="distribution fitting and KS ranking")
-    p.add_argument("--city", required=True, type=_safe_id)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("lrd", help="Hurst estimation and hourly profile")
-    p.add_argument("--city", required=True, type=_safe_id)
-    p.set_defaults(func=cmd_lrd)
-
-    p = sub.add_parser("report", help="bundle per-city artifacts")
-    p.add_argument("--city", required=True, type=_safe_id)
-    p.set_defaults(func=cmd_report)
+    for name, func, help_text in (
+        ("density", cmd_density, "extract density traces"),
+        ("fit", cmd_fit, "distribution fitting and KS ranking"),
+        ("lrd", cmd_lrd, "Hurst estimation and hourly profile"),
+        ("report", cmd_report, "bundle per-city artifacts"),
+    ):
+        sub.add_parser(name, parents=[city], help=help_text).set_defaults(func=func)
 
     return parser
 
@@ -514,6 +539,9 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "synth" and args.camera_id == args.city:
+            # its fits would collide with the city's pooled fits
+            parser.error(f"argument --camera-id: {args.camera_id!r} is also the --city name")
     except SystemExit as exc:
         return 0 if exc.code == 0 else USAGE_ERROR
     try:

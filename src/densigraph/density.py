@@ -8,6 +8,7 @@ normalized by the saturation sum m*n*255.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import islice
@@ -51,9 +52,7 @@ class Frame:
 
 @dataclass(frozen=True)
 class BackgroundModel:
-    camera_id: str
     values: np.ndarray  # (height, width) float64, each value in [0, 255]
-    window_size: int
     built_from: tuple[datetime, ...]
 
 
@@ -75,9 +74,9 @@ def _check_frame(frame: Frame, first: Frame) -> None:
 
 
 def _check_order(frame: Frame, prev: Frame) -> None:
-    if frame.captured_at < prev.captured_at:
+    if frame.captured_at <= prev.captured_at:
         raise OutOfOrderTimestamp(
-            f"{frame.camera_id}: frame {frame.captured_at} after {prev.captured_at}"
+            f"{frame.camera_id}: frame {frame.captured_at} is not later than {prev.captured_at}"
         )
 
 
@@ -95,10 +94,7 @@ def build_background(frames: Iterable[Frame], z: int) -> BackgroundModel:
         _check_frame(f, window[0])
         total += f.pixels
     return BackgroundModel(
-        camera_id=window[0].camera_id,
-        values=total / z,
-        window_size=z,
-        built_from=tuple(f.captured_at for f in window),
+        values=total / z, built_from=tuple(f.captured_at for f in window)
     )
 
 
@@ -130,9 +126,9 @@ def process_sequence(frames: Iterable[Frame], z: int, tau: float) -> list[Densit
 
     The background is built once from the first z frames and held constant.
     Only those z frames are held at once, so ``frames`` may be a generator
-    that decodes one frame at a time. A frame earlier than the one before it
-    raises OutOfOrderTimestamp; a frame whose shape or camera differs from
-    the first raises ShapeMismatch.
+    that decodes one frame at a time. A frame that is not later than the one
+    before it raises OutOfOrderTimestamp; a frame whose shape or camera
+    differs from the first raises ShapeMismatch.
     """
     frames = iter(frames)
     window = list(islice(frames, max(z, 0)))
@@ -164,17 +160,29 @@ def write_trace_csv(records: Iterable[DensityRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _trace_row(line: str, prev: DensityRecord | None) -> DensityRecord:
+    cam, ts, d, norm = line.split(",")
+    rec = DensityRecord(cam, parse_rfc3339(ts), int(d), float(norm))
+    if rec.raw_density < 0 or not (math.isfinite(rec.normalized) and rec.normalized >= 0):
+        raise ValueError("densities must be finite and >= 0")
+    if prev is not None and rec.captured_at <= prev.captured_at:
+        raise ValueError("captured_at is not later than the row before")
+    return rec
+
+
 def read_trace_csv(text: str) -> list[DensityRecord]:
-    """Parse a trace written by write_trace_csv. A malformed line raises
-    ValueError naming its 1-based line number."""
+    """Parse a trace written by write_trace_csv: at least one row, each with
+    finite non-negative densities and later than the row before. A line
+    that breaks this raises ValueError naming its 1-based line number."""
     lines = text.rstrip().splitlines()
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError("line 1: not a density trace CSV header")
+    if len(lines) == 1:
+        raise ValueError("line 2: bad trace row '' (the trace has no rows)")
     out = []
     for lineno, line in enumerate(lines[1:], 2):
         try:
-            cam, ts, d, norm = line.split(",")
-            out.append(DensityRecord(cam, parse_rfc3339(ts), int(d), float(norm)))
+            out.append(_trace_row(line, out[-1] if out else None))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad trace row {line!r} ({exc})") from exc
     return out

@@ -238,9 +238,9 @@ class FrameStore:
             fh.write(record.to_json() + "\n")
 
 
-def scan_manifest(root: str | Path, city: str | None = None) -> list[ManifestRecord]:
-    """All manifest records under root, or only those of one city, sorted by
-    (camera_id, captured_at). Duplicates and failures are included.
+def scan_manifest(root: str | Path, city: str) -> list[ManifestRecord]:
+    """All manifest records of one city, sorted by (camera_id, captured_at).
+    Duplicates and failures are included; a city without a manifest has none.
 
     A line that is not a well-formed record raises CorruptManifest naming
     the manifest and the line.
@@ -248,22 +248,22 @@ def scan_manifest(root: str | Path, city: str | None = None) -> list[ManifestRec
     root = Path(root)
     if not root.exists():
         raise MissingManifest(f"{root} does not exist")
+    manifest = root / city / "manifest.jsonl"
+    if not manifest.exists():
+        return []
     records = []
-    for manifest in sorted(root.glob("*/manifest.jsonl")):
-        if city is not None and manifest.parent.name != city:
+    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
+        if not line.strip():
             continue
-        for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                rec = ManifestRecord.from_json(line)
-            except (ValueError, KeyError, TypeError) as exc:
-                # ValueError covers bad JSON and bad timestamps; KeyError a
-                # missing field; TypeError a line that is not a JSON object
-                raise CorruptManifest(
-                    f"{manifest}:{lineno}: bad manifest record ({type(exc).__name__}: {exc})"
-                ) from exc
-            records.append(rec)
+        try:
+            rec = ManifestRecord.from_json(line)
+        except (ValueError, KeyError, TypeError) as exc:
+            # ValueError covers bad JSON and bad timestamps; KeyError a
+            # missing field; TypeError a line that is not a JSON object
+            raise CorruptManifest(
+                f"{manifest}:{lineno}: bad manifest record ({type(exc).__name__}: {exc})"
+            ) from exc
+        records.append(rec)
     records.sort(key=lambda r: (r.camera_id, r.captured_at))
     return records
 
@@ -271,8 +271,9 @@ def scan_manifest(root: str | Path, city: str | None = None) -> list[ManifestRec
 def load_catalog(path: str | Path) -> list[CameraMeta]:
     """Camera catalog: JSON array of CameraMeta objects.
 
-    An entry that is not a valid CameraMeta, or a camera_id listed twice,
-    raises CorruptCatalog naming the catalog and the entry.
+    An entry that is not a valid CameraMeta, whose camera_id is its city's
+    name, or a camera_id listed twice, raises CorruptCatalog naming the
+    catalog and the entry.
     """
     cameras = []
     for index, obj in enumerate(json.loads(Path(path).read_text())):
@@ -282,17 +283,19 @@ def load_catalog(path: str | Path) -> list[CameraMeta]:
                 window = (time.fromisoformat(window[0]), time.fromisoformat(window[1]))
             else:
                 window = DEFAULT_WINDOW
-            cameras.append(
-                CameraMeta(
-                    camera_id=obj["camera_id"],
-                    city=obj["city"],
-                    latitude=obj["latitude"],
-                    longitude=obj["longitude"],
-                    refresh_interval=obj["refresh_interval"],
-                    source_url=obj.get("source_url"),
-                    daylight_window=window,
-                )
+            camera = CameraMeta(
+                camera_id=obj["camera_id"],
+                city=obj["city"],
+                latitude=obj["latitude"],
+                longitude=obj["longitude"],
+                refresh_interval=obj["refresh_interval"],
+                source_url=obj.get("source_url"),
+                daylight_window=window,
             )
+            if camera.camera_id == camera.city:
+                # its fits would collide with the city's pooled fits
+                raise ValueError(f"camera_id {camera.camera_id!r} is its city's name")
+            cameras.append(camera)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             # AttributeError: an entry that is not a JSON object
             raise CorruptCatalog(
@@ -304,12 +307,13 @@ def load_catalog(path: str | Path) -> list[CameraMeta]:
     return cameras
 
 
-def fetch_url(url: str, timeout: float = 10.0) -> bytes | None:
-    """GET an image URL; any 2xx yields the body, anything else None."""
+def fetch_url(url: str) -> bytes | None:
+    """GET an image URL with a 10 s timeout; any 2xx yields the body,
+    anything else None."""
     import urllib.request  # only crawl fetches; other stages skip the import
 
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=10.0) as resp:
             if 200 <= resp.status < 300:
                 return resp.read()
             return None

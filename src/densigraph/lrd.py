@@ -47,7 +47,6 @@ class HurstEstimate:
     H: float
     regression_points: tuple[tuple[float, float], ...]  # (log2 scale, log2 stat)
     r_squared: float
-    scales_used: tuple[int, ...]
 
     def to_json(self, subject: str) -> str:
         return json.dumps(
@@ -118,7 +117,6 @@ def variance_time_hurst(series: TimeSeries, scales: Sequence[int] | None = None)
         H=1.0 + slope / 2.0,
         regression_points=tuple(points),
         r_squared=r2,
-        scales_used=tuple(usable),
     )
 
 
@@ -154,7 +152,6 @@ def rs_hurst(series: TimeSeries, block_sizes: Sequence[int] | None = None) -> Hu
     if len(usable) < 3:
         raise TooFewScales(f"need >=3 usable block sizes, have {len(usable)}")
     points = []
-    used = []
     for b in usable:
         ratios = []
         for i in range(n // b):
@@ -163,7 +160,6 @@ def rs_hurst(series: TimeSeries, block_sizes: Sequence[int] | None = None) -> Hu
                 ratios.append(rs)
         if ratios:
             points.append((math.log2(b), math.log2(float(np.mean(ratios)))))
-            used.append(b)
     if len(points) < 3:
         raise TooFewScales("fewer than 3 block sizes yielded an R/S value")
     slope, r2 = _loglog_fit(points)
@@ -172,7 +168,6 @@ def rs_hurst(series: TimeSeries, block_sizes: Sequence[int] | None = None) -> Hu
         H=slope,
         regression_points=tuple(points),
         r_squared=r2,
-        scales_used=tuple(used),
     )
 
 
@@ -197,10 +192,9 @@ def bucket_hourly(
 def resample_locf(
     records: Sequence[DensityRecord],
     step_seconds: float,
-    gap_factor: float = 10.0,
 ) -> list[TimeSeries]:
     """Snap density records onto a regular grid by last-observation-carried-
-    forward; gaps longer than gap_factor*step split the series."""
+    forward; gaps longer than 10 steps split the series."""
     if not records:
         return []
     records = sorted(records, key=lambda r: r.captured_at)
@@ -212,7 +206,7 @@ def resample_locf(
             if i < len(records)
             else None
         )
-        if gap is None or gap > gap_factor * step_seconds:
+        if gap is None or gap > 10.0 * step_seconds:
             seg = records[seg_start:i]
             t0 = seg[0].captured_at
             span = (seg[-1].captured_at - t0).total_seconds()

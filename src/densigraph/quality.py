@@ -130,10 +130,8 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 def fit_clusters(
     unlabeled: Sequence[ImageFeatures],
     labeled: LabeledSet,
-    k: int = 4,
-    seed: int = 0,
-    tol: float = 1e-6,
-    max_iter: int = 100,
+    k: int,
+    seed: int,
 ) -> ClusterModel:
     """Standardized k-means over unlabeled+labeled points; clusters take the
     majority label of the labeled points they contain, empty or tied
@@ -155,7 +153,7 @@ def fit_clusters(
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, rng)
-    for _ in range(max_iter):
+    for _ in range(100):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign = d2.argmin(axis=1)
         new = centroids.copy()
@@ -165,7 +163,7 @@ def fit_clusters(
                 new[j] = members.mean(axis=0)
         motion = np.abs(new - centroids).max()
         centroids = new
-        if motion < tol:
+        if motion < 1e-6:
             break
 
     # label propagation from the labeled tail of `points`

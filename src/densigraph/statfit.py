@@ -205,7 +205,7 @@ def fit_normal(sample) -> dict:
     return {"mu": float(x.mean()), "sigma": math.sqrt(var)}
 
 
-def fit_gamma(sample, tol: float = 1e-10, max_iter: int = 100) -> dict:
+def fit_gamma(sample) -> dict:
     """Newton on ln k - digamma(k) = ln(mean) - mean(ln x)."""
     x = _as_sample(sample, positive=True)
     mean = float(x.mean())
@@ -213,14 +213,14 @@ def fit_gamma(sample, tol: float = 1e-10, max_iter: int = 100) -> dict:
     if s <= 0:
         raise DegenerateSample("log-moment gap is non-positive (constant data?)")
     k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    for _ in range(max_iter):
+    for _ in range(100):
         f = math.log(k) - digamma(k) - s
         fp = 1.0 / k - trigamma(k)
         step = f / fp
         k -= step
         if k <= 0:
             raise NoConvergence("gamma shape iterate left the positive domain")
-        if abs(step) < tol:
+        if abs(step) < 1e-10:
             return {"shape": float(k), "scale": mean / float(k)}
     raise NoConvergence("gamma shape did not converge")
 
@@ -237,7 +237,7 @@ def _weibull_score(k: float, x: np.ndarray, mean_log: float):
     return g, gp
 
 
-def fit_weibull(sample, tol: float = 1e-10, max_iter: int = 200) -> dict:
+def fit_weibull(sample) -> dict:
     """Safeguarded Newton on the Weibull profile score, bracket [0.01, 100]."""
     x_raw = _as_sample(sample, positive=True)
     if np.all(x_raw == x_raw[0]):
@@ -252,7 +252,7 @@ def fit_weibull(sample, tol: float = 1e-10, max_iter: int = 200) -> dict:
     if g_lo > 0 or g_hi < 0:
         raise NoConvergence("Weibull shape root not bracketed in [0.01, 100]")
     k = 1.0
-    for _ in range(max_iter):
+    for _ in range(200):
         g, gp = _weibull_score(k, x, mean_log)
         if g < 0:
             lo = k
@@ -262,7 +262,7 @@ def fit_weibull(sample, tol: float = 1e-10, max_iter: int = 200) -> dict:
         k_new = k - step
         if not lo < k_new < hi:
             k_new = 0.5 * (lo + hi)  # bisection fallback
-        if abs(k_new - k) < tol:
+        if abs(k_new - k) < 1e-10:
             k = k_new
             scale = top * float(np.mean(x**k)) ** (1.0 / k)
             return {"shape": float(k), "scale": scale}
@@ -290,7 +290,7 @@ def _loglogistic_grad_hess(a: float, b: float, logx: np.ndarray):
     return ll, np.array([ga, gb]), np.array([[haa, hab], [hab, hbb]])
 
 
-def fit_loglogistic(sample, tol: float = 1e-8, max_iter: int = 200) -> dict:
+def fit_loglogistic(sample) -> dict:
     """2-D Newton with backtracking in (ln alpha, ln beta)."""
     x = _as_sample(sample, positive=True)
     if np.all(x == x[0]):
@@ -300,8 +300,8 @@ def fit_loglogistic(sample, tol: float = 1e-8, max_iter: int = 200) -> dict:
     a = math.log(q50)
     b = math.log(math.log(3.0) / math.log(q75 / q25)) if q75 > q25 else 0.0
     ll, grad, hess = _loglogistic_grad_hess(a, b, logx)
-    for _ in range(max_iter):
-        if np.abs(grad).max() < tol:
+    for _ in range(200):
+        if np.abs(grad).max() < 1e-8:
             return {"scale": math.exp(a), "shape": math.exp(b)}
         try:
             step = np.linalg.solve(hess, -grad)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import weakref
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -92,7 +93,7 @@ class TestPipeline:
             injected.append(rec.relative_path)
         regular_path = next(
             r.relative_path
-            for r in __import__("densigraph.ingestion", fromlist=["scan_manifest"]).scan_manifest(corpus)
+            for r in ingestion.scan_manifest(corpus, city="sydney")
             if r.relative_path not in injected
         )
         labels = [{"relative_path": regular_path, "label": "regular"}] + [
@@ -124,7 +125,7 @@ class TestExitCodes:
         "setting",
         [
             "tau=-50", "tau=nan", "tau=inf", "window_z=1", "window_z=0", "jobs=2",
-            "cluster_k=1", "cluster_k=0",
+            "cluster_k=1", "cluster_k=0", "seed=-1",
         ],
     )
     def test_bad_config_value(self, tmp_path, setting, capsys):
@@ -146,8 +147,15 @@ class TestExitCodes:
             ('{"tz_offsets": 5}', "c.json"),
             ('{"window_z": Infinity}', "c.json"),
             ('{"tau": ', "c.json"),
+            ('{"window_z": 99.9}', "window_z"),
+            ('{"cluster_k": 2.5}', "cluster_k"),
+            ('{"seed": true}', "seed"),
+            ('{"tau": true}', "tau"),
         ],
-        ids=["tau-negative", "list", "tau-null", "tz-offsets-number", "window-z-inf", "torn-json"],
+        ids=[
+            "tau-negative", "list", "tau-null", "tz-offsets-number", "window-z-inf", "torn-json",
+            "window-z-float", "cluster-k-float", "seed-bool", "tau-bool",
+        ],
     )
     def test_bad_config_file_value(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "c.json"
@@ -155,6 +163,38 @@ class TestExitCodes:
         assert run(["--config", str(cfg), "density", "--city", "x"]) == 1
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            Config(),
+            Config(
+                data_root=Path("some/root"), catalog_path=Path("cat.json"), tau=12.5,
+                window_z=30, cluster_k=3, seed=7, tz_offsets={"sydney": 10.0, "delhi": 5.5},
+            ),
+        ],
+        ids=["default", "custom"],
+    )
+    def test_describe_loads_back(self, tmp_path, monkeypatch, cfg):
+        monkeypatch.delenv("DENSIGRAPH_ROOT", raising=False)
+        path = tmp_path / "c.json"
+        path.write_text(cfg.describe())
+        assert Config.load(str(path), []) == cfg
+
+    def test_set_help_names_the_keys_set_accepts(self, capsys):
+        assert run(["--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        named = help_text.partition("override a config field (")[2].partition(")")[0]
+
+        def accepted(key):
+            try:
+                Config.load(None, [f"{key}="])
+            except ValueError as exc:
+                return "unknown config key" not in str(exc)
+            return True
+
+        keys = {f.name for f in fields(Config)} | {"bogus"}
+        assert set(named.split(", ")) == {key for key in keys if accepted(key)}
 
     def test_env_var_overrides_file(self, tmp_path, monkeypatch, corpus):
         cfg = tmp_path / "c.json"
@@ -347,6 +387,31 @@ class TestUnsafeIds:
         assert f"argument {flag}" in err and "Traceback" not in err
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scene]
 
+    def test_synth_rejects_camera_named_like_its_city(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        scene.write_text(synth.random_scene_spec(5, frame_count=3).to_json())
+        argv = [
+            "--set", f"data_root={tmp_path / 'data'}", "synth", "--scene", str(scene),
+            "--city", "syd", "--camera-id", "syd",
+        ]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "--camera-id" in err and "--city" in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
+    def test_crawl_rejects_camera_named_like_its_city(self, tmp_path, capsys):
+        catalog = tmp_path / "catalog.json"
+        ok = {"camera_id": "c1", "city": "syd", "latitude": 0, "longitude": 0, "refresh_interval": 5}
+        catalog.write_text(json.dumps([ok, {**ok, "camera_id": "syd"}]))
+        argv = [
+            "--set", f"data_root={tmp_path / 'data'}", "--set", f"catalog_path={catalog}",
+            "crawl", "--duration", "0",
+        ]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{catalog}: entry 1:" in err and "'syd'" in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
     def test_crawl_rejects_unsafe_catalog_id(self, tmp_path, capsys):
         catalog = tmp_path / "catalog.json"
         entry = {"camera_id": "a,b", "city": "c", "latitude": 0, "longitude": 0, "refresh_interval": 5}
@@ -404,8 +469,10 @@ class TestSynthFlags:
 
 def test_camera_named_like_its_city_is_data_error(tmp_path, capsys):
     root = tmp_path / "data"
-    store_city(root, {"syd": map(write_p5, random_frames(3, 8))}, city="syd")
-    run_ok("--set", f"data_root={root}", "--set", "window_z=4", "density", "--city", "syd")
+    (root / "syd" / "density").mkdir(parents=True)
+    (root / "syd" / "density" / "syd.csv").write_text(
+        "camera_id,captured_at,raw_density,normalized\nsyd,2024-01-01T06:00:00Z,5,0.000001\n"
+    )
     assert run(["--set", f"data_root={root}", "fit", "--city", "syd"]) == 2
     err = capsys.readouterr().err
     assert str(Path("density") / "syd.csv") in err and "Traceback" not in err
@@ -421,14 +488,44 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert f"{manifest}:151:" in err and "Traceback" not in err
 
-    def test_malformed_trace_row_is_data_error(self, corpus, capsys):
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "cam00,garbage",
+            "cam1,NEXT,5,nan",
+            "cam1,NEXT,5,inf",
+            "cam1,NEXT,5,-0.000001",
+            "cam1,NEXT,-5,0.000001",
+            "cam1,LAST,5,0.000001",
+            "cam1,BEFORE,5,0.000001",
+            None,  # header only
+        ],
+        ids=[
+            "garbage", "nan", "inf", "negative-normalized", "negative-raw", "repeated-time",
+            "earlier-time", "no-rows",
+        ],
+    )
+    @pytest.mark.parametrize("stage", ["fit", "lrd"])
+    def test_malformed_trace_row_is_data_error(self, corpus, capsys, stage, row):
         run_ok("--set", f"data_root={corpus}", "density", "--city", "sydney")
         trace = corpus / "sydney" / "density" / "cam1.csv"
-        with trace.open("a") as fh:
-            fh.write("cam00,garbage\n")
-        assert run(["--set", f"data_root={corpus}", "fit", "--city", "sydney"]) == 2
+        lines = trace.read_text().splitlines()
+        last = ingestion.parse_rfc3339(lines[-1].split(",")[1])
+        times = {
+            "NEXT": last + timedelta(minutes=1), "LAST": last, "BEFORE": last - timedelta(minutes=1),
+        }
+        if row is None:
+            trace.write_text(lines[0] + "\n")
+            lineno = 2
+        else:
+            for name, t in times.items():
+                row = row.replace(name, ingestion.format_rfc3339(t))
+            trace.write_text("\n".join(lines + [row]) + "\n")
+            lineno = len(lines) + 1
+        capsys.readouterr()
+        assert run(["--set", f"data_root={corpus}", stage, "--city", "sydney"]) == 2
         err = capsys.readouterr().err
-        assert f"{trace}: line 152:" in err and "Traceback" not in err
+        assert f"{trace}: line {lineno}: bad trace row" in err and "Traceback" not in err
 
     def test_unknown_labeled_path_is_data_error(self, corpus, tmp_path, capsys):
         labels = tmp_path / "labels.json"

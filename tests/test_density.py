@@ -109,8 +109,8 @@ def _low_occlusion_spec(seed, frames=200):
     return synth.SceneSpec(100, 100, 60, tuple(events), 2.0, frames, seed)
 
 
-def bg_of(values, camera="cam1"):
-    return BackgroundModel(camera, np.asarray(values, dtype=np.float64), 2, (T0, T0))
+def bg_of(values):
+    return BackgroundModel(np.asarray(values, dtype=np.float64), (T0, T0))
 
 
 class TestHighPass:
@@ -241,10 +241,17 @@ class TestProcessSequence:
         assert len(process_sequence(stream(), z=5, tau=25)) == 40
         assert peak <= 5
 
-    @pytest.mark.parametrize("at", [3, 8], ids=["in_window", "after_window"])
-    def test_backwards_timestamp_raises(self, at):
+    @pytest.mark.parametrize(
+        "at,equal",
+        [(3, False), (8, False), (3, True), (8, True)],
+        ids=["in_window", "after_window", "in_window-equal", "after_window-equal"],
+    )
+    def test_backwards_timestamp_raises(self, at, equal):
         frames = make_frames(np.zeros((10, 2, 2)))
-        frames[at], frames[at - 1] = frames[at - 1], frames[at]
+        if equal:
+            frames[at] = Frame(frames[at].camera_id, frames[at - 1].captured_at, frames[at].pixels)
+        else:
+            frames[at], frames[at - 1] = frames[at - 1], frames[at]
         with pytest.raises(OutOfOrderTimestamp):
             process_sequence(frames, z=5, tau=25)
 

@@ -192,18 +192,18 @@ class TestCameraIds:
 
 class TestScanManifest:
     def test_empty_root(self, tmp_path):
-        assert scan_manifest(tmp_path) == []
+        assert scan_manifest(tmp_path, city="sydney") == []
 
     def test_missing_root(self, tmp_path):
         with pytest.raises(MissingManifest):
-            scan_manifest(tmp_path / "nope")
+            scan_manifest(tmp_path / "nope", city="sydney")
 
     def test_no_hidden_status_filtering(self, tmp_path):
         store = FrameStore(tmp_path)
         cam = camera()
         for i, data in enumerate([b"a", b"b", b"c", b""]):
             store.store_frame(cam, T0 + timedelta(seconds=i), data)
-        records = scan_manifest(tmp_path)
+        records = scan_manifest(tmp_path, city="sydney")
         assert len(records) == 4
         assert sum(r.status == "stored" for r in records) == 3
 
@@ -215,7 +215,7 @@ class TestScanManifest:
             for cam in cams:
                 rec = store.store_frame(cam, T0 + timedelta(seconds=30 * i), b"%d" % i + cam.camera_id.encode())
                 written.append((rec.camera_id, rec.captured_at))
-        records = scan_manifest(tmp_path)
+        records = scan_manifest(tmp_path, city="sydney")
         key = [(r.camera_id, r.captured_at) for r in records]
         assert key == sorted(written)
 
@@ -254,7 +254,7 @@ class TestScanManifest:
         with manifest.open("a") as fh:
             fh.write(bad_line + "\n")
         with pytest.raises(CorruptManifest, match=re.escape(f"{manifest}:2: ")):
-            scan_manifest(tmp_path)
+            scan_manifest(tmp_path, city="sydney")
 
 
 class TestRfc3339:
