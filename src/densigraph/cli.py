@@ -225,6 +225,21 @@ def _step_seconds(value: str) -> float:
     return step
 
 
+def _duration_seconds(value: str) -> float:
+    """argparse type for --duration: finite seconds >= 0 whose end time,
+    counted from now, stays within datetime's range."""
+    try:
+        duration = float(value)
+        datetime.now(timezone.utc) + timedelta(seconds=duration)
+    except (ValueError, OverflowError):
+        duration = math.nan
+    if not (math.isfinite(duration) and duration >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected finite seconds >= 0 that end by year {datetime.max.year}, got {value!r}"
+        )
+    return duration
+
+
 def _check_capture_grid(args, frame_count: int) -> None:
     """Fail before rendering when the last capture time leaves datetime's range."""
     try:
@@ -275,60 +290,71 @@ def cmd_synth(cfg: Config, args) -> int:
     return 0
 
 
-def cmd_clean(cfg: Config, args) -> int:
-    records = _stored_records(cfg, args.city)
-    entries = []
-    features_by_path = {}
-    for rec in records:
-        if rec.status == "failed":
-            feats = quality.ImageFeatures(rec.byte_size, False, 0, 0, 0.0, 0.0, 0.0)
-        elif rec.status == "duplicate":
-            feats = quality.ImageFeatures(rec.byte_size, True, 0, 0, 0.0, 0.0, 0.0)
-        else:
-            feats = quality.extract_features((cfg.data_root / rec.relative_path).read_bytes())
-        features_by_path[rec.relative_path] = feats
-        entries.append(
-            quality.TraceEntry(rec.relative_path, feats, is_duplicate=rec.status == "duplicate")
-        )
+def _read_labels(path: str) -> list[tuple[str, str]]:
+    """The (relative_path, label) pairs of a labeled-seed JSON file."""
+    try:
+        spec = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise CorruptLabels(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(spec, list):
+        raise CorruptLabels(f"{path}: expected a JSON list of labeled frames")
+    pairs = []
+    for i, item in enumerate(spec):
+        if not isinstance(item, dict):
+            item = {}
+        pair = (item.get("relative_path"), item.get("label"))
+        if not all(isinstance(v, str) for v in pair):
+            raise CorruptLabels(f"{path}: entry {i} needs relative_path and label strings")
+        pairs.append(pair)
+    return pairs
 
-    model = None
-    if args.labels:
-        try:
-            labeled_spec = json.loads(Path(args.labels).read_text())
-        except json.JSONDecodeError as exc:
-            raise CorruptLabels(f"{args.labels}: line {exc.lineno}: {exc.msg}") from exc
-        if not isinstance(labeled_spec, list):
-            raise CorruptLabels(f"{args.labels}: expected a JSON list of labeled frames")
+
+def cmd_clean(cfg: Config, args) -> int:
+    labels = _read_labels(args.labels) if args.labels else None
+    # relative_path -> removal reason (None: kept), in scan_manifest order
+    reasons: dict[str, str | None] = {}
+    # kept frames' features, computed only for the cluster model
+    features: dict[str, quality.ImageFeatures] = {}
+    for rec in _stored_records(cfg, args.city):
+        path, reason = rec.relative_path, None
+        if rec.status == "failed":
+            reason = "ZeroSize"
+        elif rec.status == "duplicate":
+            reason = "Duplicate"
+        else:
+            data = (cfg.data_root / path).read_bytes()
+            img = decode_image(data) if data else None
+            if img is None:
+                reason = "DecodeError" if data else "ZeroSize"
+            elif labels is not None:
+                features[path] = quality.extract_features(img, len(data))
+        reasons[path] = reason
+
+    if labels is not None:
         pairs = []
-        for i, item in enumerate(labeled_spec):
-            try:
-                path, label = item["relative_path"], item["label"]
-            except (KeyError, TypeError) as exc:
+        for i, (path, label) in enumerate(labels):
+            if path not in features:
+                why = f"removed as {reasons[path]}" if path in reasons else "not in the manifest"
                 raise CorruptLabels(
-                    f"{args.labels}: entry {i} needs relative_path and label"
-                ) from exc
-            feats = features_by_path.get(path)
-            if feats is None:
-                raise CorruptLabels(
-                    f"{args.labels}: relative_path {path!r} is not in the {args.city} manifest"
+                    f"{args.labels}: entry {i}: relative_path {path!r} is {why}; "
+                    "only frames that clean keeps can be labeled"
                 )
-            pairs.append((feats, label))
+            pairs.append((features[path], label))
         try:
             labeled = quality.LabeledSet(tuple(pairs))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise CorruptLabels(f"{args.labels}: {exc}") from exc
-        unlabeled = [
-            e.features
-            for e in entries
-            if quality.rule_filter(e.features) is None and not e.is_duplicate
-        ]
-        model = quality.fit_clusters(unlabeled, labeled, k=cfg.cluster_k, seed=cfg.seed)
+        model = quality.fit_clusters(
+            list(features.values()), labeled, k=cfg.cluster_k, seed=cfg.seed
+        )
+        for path, feats in features.items():
+            if quality.classify(model, feats) == quality.OUTLIER:
+                reasons[path] = "ClusterOutlier"
 
-    _kept, removed = quality.clean_trace(entries, model)
-    lines = ["relative_path,reason"]
-    lines += [f"{e.relative_path},{reason}" for e, reason in removed]
+    removed = [f"{path},{reason}" for path, reason in reasons.items() if reason]
+    lines = ["relative_path,reason"] + removed
     _atomic_write(cfg.data_root / args.city / "removed.csv", "\n".join(lines) + "\n")
-    _log(f"clean: removed {len(removed)} of {len(entries)} frames")
+    _log(f"clean: removed {len(removed)} of {len(reasons)} frames")
     return 0
 
 
@@ -507,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     city.add_argument("--city", required=True, type=_safe_id)
 
     p = sub.add_parser("crawl", help="poll cameras from the catalog")
-    p.add_argument("--duration", type=float, required=True, help="seconds to run")
+    p.add_argument("--duration", type=_duration_seconds, required=True, help="seconds to run")
     p.set_defaults(func=cmd_crawl)
 
     p = sub.add_parser("synth", parents=[city], help="render a scene spec into the data layout")

@@ -271,12 +271,18 @@ def scan_manifest(root: str | Path, city: str) -> list[ManifestRecord]:
 def load_catalog(path: str | Path) -> list[CameraMeta]:
     """Camera catalog: JSON array of CameraMeta objects.
 
-    An entry that is not a valid CameraMeta, whose camera_id is its city's
-    name, or a camera_id listed twice, raises CorruptCatalog naming the
-    catalog and the entry.
+    A file that is not a JSON array, an entry that is not a valid
+    CameraMeta, whose camera_id is its city's name, or a camera_id listed
+    twice, raises CorruptCatalog naming the catalog and the line or entry.
     """
+    try:
+        entries = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise CorruptCatalog(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(entries, list):
+        raise CorruptCatalog(f"{path}: expected a JSON list of cameras")
     cameras = []
-    for index, obj in enumerate(json.loads(Path(path).read_text())):
+    for index, obj in enumerate(entries):
         try:
             window = obj.get("daylight_window")
             if window:

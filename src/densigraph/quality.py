@@ -1,9 +1,10 @@
-"""Outlier-frame detection: cheap rule filters first, then semi-supervised
-clustering (standardized k-means seeded from a small labeled set).
+"""Semi-supervised outlier clustering: standardized k-means over image
+features, seeded from a small labeled set.
 
-Rules catch zero-size and undecodable frames; clustering catches frames
-that decode fine but are not traffic snapshots (camera-error notification
-images and the like).
+Clustering catches frames that decode fine but are not traffic snapshots
+(camera-error notification images and the like). Failed, duplicate, empty
+and undecodable frames never get here: `clean` removes them by rule before
+it computes any feature.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFeatures, TooFewPoints
-from .pgmio import decode_image
 
 __all__ = [
     "REGULAR",
@@ -23,11 +23,8 @@ __all__ = [
     "LabeledSet",
     "ClusterModel",
     "extract_features",
-    "rule_filter",
     "fit_clusters",
     "classify",
-    "clean_trace",
-    "TraceEntry",
 ]
 
 REGULAR = "regular"
@@ -39,7 +36,6 @@ EDGE_STEP = 16  # horizontal-neighbor intensity jump that counts as an edge
 @dataclass(frozen=True)
 class ImageFeatures:
     byte_size: int
-    decode_ok: bool
     width: int
     height: int
     mean_intensity: float
@@ -50,7 +46,6 @@ class ImageFeatures:
         return np.array(
             [
                 self.byte_size,
-                float(self.decode_ok),
                 self.width,
                 self.height,
                 self.mean_intensity,
@@ -73,31 +68,19 @@ class LabeledSet:
             raise ValueError("labeled set needs at least one point of each label")
 
 
-def extract_features(data: bytes) -> ImageFeatures:
-    img = decode_image(data) if data else None
-    if img is None:
-        return ImageFeatures(len(data), False, 0, 0, 0.0, 0.0, 0.0)
+def extract_features(img: np.ndarray, byte_size: int) -> ImageFeatures:
+    """Features of a decoded frame whose file holds byte_size bytes."""
     h, w = img.shape
     diffs = np.abs(np.diff(img.astype(np.int16), axis=1))
     edge = float((diffs > EDGE_STEP).mean()) if w > 1 else 0.0
     return ImageFeatures(
-        byte_size=len(data),
-        decode_ok=True,
+        byte_size=byte_size,
         width=w,
         height=h,
         mean_intensity=float(img.mean()),
         intensity_variance=float(img.var()),
         edge_density=edge,
     )
-
-
-def rule_filter(features: ImageFeatures) -> str | None:
-    """Reason string for rule-level outliers, None for pass."""
-    if features.byte_size == 0:
-        return "ZeroSize"
-    if not features.decode_ok:
-        return "DecodeError"
-    return None
 
 
 @dataclass(frozen=True)
@@ -203,34 +186,3 @@ def classify(model: ClusterModel, features: ImageFeatures) -> str:
     d2 = ((model.centroids - p) ** 2).sum(axis=1)
     best = min(range(len(d2)), key=lambda j: (d2[j], model.cluster_labels[j], j))
     return model.cluster_labels[best]
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    relative_path: str
-    features: ImageFeatures
-    is_duplicate: bool = False
-
-
-def clean_trace(
-    entries: Sequence[TraceEntry], model: ClusterModel | None
-) -> tuple[list[TraceEntry], list[tuple[TraceEntry, str]]]:
-    """Partition entries into (kept, removed-with-reason), preserving order.
-
-    Rule filters fire before clustering, so a zero-size frame is always
-    reported as ZeroSize, never ClusterOutlier. With model=None only the
-    rule filters and duplicate flags apply.
-    """
-    kept = []
-    removed = []
-    for e in entries:
-        reason = rule_filter(e.features)
-        if reason is None and e.is_duplicate:
-            reason = "Duplicate"
-        if reason is None and model is not None and classify(model, e.features) == OUTLIER:
-            reason = "ClusterOutlier"
-        if reason is None:
-            kept.append(e)
-        else:
-            removed.append((e, reason))
-    return kept, removed

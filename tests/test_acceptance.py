@@ -4,10 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 print. Tolerances are fixed here, not calibrated elsewhere.
 """
 
+import json
 import subprocess
 import sys
 import time
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -16,16 +17,9 @@ from densigraph import synth
 from densigraph.cli import run
 from densigraph.density import build_background, process_sequence
 from densigraph.lrd import rs_hurst, variance_time_hurst
+from densigraph.ingestion import CameraMeta, FrameStore
 from densigraph.pgmio import write_p5
-from densigraph.quality import (
-    OUTLIER,
-    REGULAR,
-    LabeledSet,
-    TraceEntry,
-    clean_trace,
-    extract_features,
-    fit_clusters,
-)
+from densigraph.quality import OUTLIER, REGULAR
 from densigraph.statfit import fit_family, ks_critical_95, ks_statistic, rank_fits
 
 from test_density import _low_occlusion_spec
@@ -145,7 +139,7 @@ def test_criterion_6_hurst_accuracy():
     report(6, ok, f"{'; '.join(details)}; shuffled {vt_sh:.3f} in [0.43,0.57]; runtime {elapsed:.1f}s (<20s)")
 
 
-def test_criterion_7_outlier_cleaning():
+def test_criterion_7_outlier_cleaning(tmp_path):
     rng = np.random.default_rng(70)
     scene = synth.random_scene_spec(70, frame_count=300)
     arrays = synth.render_scene_sequence(scene)
@@ -164,28 +158,35 @@ def test_criterion_7_outlier_cleaning():
     outlier_bytes += [b""] * 15  # zero-size
     assert len(regular_bytes) == 950 and len(outlier_bytes) == 50
 
-    entries = [
-        TraceEntry(f"reg{i}.pgm", extract_features(b)) for i, b in enumerate(regular_bytes)
-    ] + [
-        TraceEntry(f"out{i}.pgm", extract_features(b)) for i, b in enumerate(outlier_bytes)
+    # one camera, stored in this order, so the clean stage sees the frames
+    # in this order too
+    root = tmp_path / "data"
+    store = FrameStore(root)
+    camera = CameraMeta("cam1", "city7", 0.0, 0.0, 60.0)
+    t0 = datetime(2024, 1, 1, 6, tzinfo=timezone.utc)
+    paths = [
+        store.store_frame(camera, t0 + timedelta(minutes=i), data).relative_path
+        for i, data in enumerate(regular_bytes + outlier_bytes)
     ]
     # 10 labels: 7 regular + 3 template outliers
-    labeled = LabeledSet(
-        tuple((entries[i].features, REGULAR) for i in (0, 150, 300, 450, 600, 750, 900))
-        + tuple((entries[950 + i].features, OUTLIER) for i in (0, 7, 14))
-    )
-    clusterable = [
-        e.features for e in entries if e.features.byte_size > 0 and e.features.decode_ok
+    labels = [
+        {"relative_path": paths[i], "label": REGULAR} for i in (0, 150, 300, 450, 600, 750, 900)
+    ] + [{"relative_path": paths[950 + i], "label": OUTLIER} for i in (0, 7, 14)]
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps(labels))
+    argv = [
+        "--set", f"data_root={root}", "--set", "cluster_k=4", "--set", "seed=0",
+        "clean", "--city", "city7", "--labels", str(labels_path),
     ]
-    model = fit_clusters(clusterable, labeled, k=4, seed=0)
-    kept, removed = clean_trace(entries, model)
-    removed_by = {e.relative_path: r for e, r in removed}
+    assert run(argv) == 0
+    lines = (root / "city7" / "removed.csv").read_text().splitlines()[1:]
+    removed_by = dict(line.split(",") for line in lines)
 
-    injected = {f"out{i}.pgm" for i in range(50)}
+    injected = set(paths[950:])
     recall = len(injected & set(removed_by)) / 50
-    false_pos = sum(1 for p in removed_by if p.startswith("reg")) / 950
+    false_pos = len(set(paths[:950]) & set(removed_by)) / 950
     reason_ok = all(
-        removed_by.get(f"out{i}.pgm") == ("ZeroSize" if not outlier_bytes[i] else "DecodeError")
+        removed_by.get(paths[950 + i]) == ("ZeroSize" if not outlier_bytes[i] else "DecodeError")
         for i in range(20, 50)
     )
     ok = recall >= 0.95 and false_pos <= 0.02 and reason_ok

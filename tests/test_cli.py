@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import densigraph
-from densigraph import cli, ingestion, synth
+from densigraph import cli, ingestion, quality, synth
 from densigraph.cli import Config, run
 from densigraph.pgmio import write_p5
 
@@ -234,6 +234,71 @@ def trace_densities(root, camera_id, city="testcity"):
     return [int(row.split(",")[2]) for row in rows]
 
 
+def dirty_city(root):
+    """Store two cameras whose bad frames are all error templates, so each
+    would be a ClusterOutlier if a rule did not remove it first. Returns
+    each camera's relative paths in capture order."""
+    arrays = synth.render_scene_sequence(synth.random_scene_spec(3, frame_count=24))
+    regular = [write_p5(a) for a in arrays]
+    template = [write_p5(np.full((100, 100), 240 + i, dtype=np.uint8)) for i in range(6)]
+    # cam2 is stored first; scan_manifest still puts cam1's records first
+    store_city(root, {
+        "cam2": regular[12:] + template[4:],
+        "cam1": regular[:10]
+        + [template[0], template[0], b"", template[1], template[2]]  # 11th: duplicate
+        + regular[10:12]
+        + [template[3]],
+    })
+    records = ingestion.scan_manifest(root, city="testcity")
+    paths = {cam: [r.relative_path for r in records if r.camera_id == cam] for cam in ("cam1", "cam2")}
+    (root / paths["cam1"][13]).write_bytes(b"")  # emptied after storing
+    cut = root / paths["cam1"][14]
+    cut.write_bytes(cut.read_bytes()[:5000])  # cut short after storing
+    return paths["cam1"], paths["cam2"]
+
+
+def removed_rows(root, city="testcity"):
+    return (root / city / "removed.csv").read_text().splitlines()[1:]
+
+
+class TestCleanStage:
+    def test_rules_then_clusters_once_each_in_manifest_order(self, tmp_path):
+        root = tmp_path / "data"
+        cam1, cam2 = dirty_city(root)
+        rule_rows = [
+            f"{cam1[11]},Duplicate",
+            f"{cam1[12]},ZeroSize",  # failed record
+            f"{cam1[13]},ZeroSize",  # emptied file
+            f"{cam1[14]},DecodeError",  # cut-short file
+        ]
+        run_ok("--set", f"data_root={root}", "clean", "--city", "testcity")
+        assert removed_rows(root) == rule_rows
+
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps([
+            {"relative_path": cam1[0], "label": "regular"},
+            {"relative_path": cam2[0], "label": "regular"},
+            {"relative_path": cam1[10], "label": "outlier"},
+        ]))
+        run_ok("--set", f"data_root={root}", "clean", "--city", "testcity", "--labels", str(labels))
+        assert removed_rows(root) == (
+            [f"{cam1[10]},ClusterOutlier"]
+            + rule_rows
+            + [f"{cam1[17]},ClusterOutlier", f"{cam2[12]},ClusterOutlier", f"{cam2[13]},ClusterOutlier"]
+        )
+
+    def test_without_labels_computes_no_features(self, tmp_path, monkeypatch):
+        root = tmp_path / "data"
+        dirty_city(root)
+
+        def no_features(*args):
+            raise AssertionError("clean computed features without --labels")
+
+        monkeypatch.setattr(quality, "extract_features", no_features)
+        run_ok("--set", f"data_root={root}", "clean", "--city", "testcity")
+        assert len(removed_rows(root)) == 4
+
+
 class TestDensityStage:
     def test_scans_manifest_once(self, tmp_path, monkeypatch):
         root = tmp_path / "data"
@@ -439,10 +504,16 @@ class TestSynthFlags:
         [
             ("--t0", "garbage"), ("--t0", "0001-01-01T00:00:00+05:00"), ("--step", "-5"),
             ("--step", "0"), ("--step", "0.5"), ("--step", "nan"), ("--step", "inf"),
+            ("--duration", "-5"), ("--duration", "nan"), ("--duration", "inf"),
+            ("--duration", "1e300"),
         ],
     )
     def test_bad_value_is_usage_error(self, tmp_path, capsys, flag, bad):
-        assert run(self.synth_argv(tmp_path, flag, bad)) == 1
+        if flag == "--duration":  # crawl's flag, checked like synth's --step
+            argv = ["--set", f"data_root={tmp_path / 'data'}", "crawl", flag, bad]
+        else:
+            argv = self.synth_argv(tmp_path, flag, bad)
+        assert run(argv) == 1
         err = capsys.readouterr().err
         assert f"argument {flag}" in err and "Traceback" not in err
         assert not (tmp_path / "data").exists()
@@ -527,13 +598,44 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert f"{trace}: line {lineno}: bad trace row" in err and "Traceback" not in err
 
-    def test_unknown_labeled_path_is_data_error(self, corpus, tmp_path, capsys):
-        labels = tmp_path / "labels.json"
-        labels.write_text(json.dumps([{"relative_path": "sydney/nope.pgm", "label": "regular"}]))
-        argv = ["--set", f"data_root={corpus}", "clean", "--city", "sydney", "--labels", str(labels)]
+    @pytest.mark.parametrize(
+        "text,named",
+        [('[{"camera_id": "c1", "city": "s"', ": line 1:"), ('{"camera_id": "c1"}', ": expected")],
+        ids=["torn", "not-a-list"],
+    )
+    def test_crawl_rejects_catalog_that_is_not_a_json_list(self, tmp_path, capsys, text, named):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(text)
+        argv = [
+            "--set", f"data_root={tmp_path / 'data'}", "--set", f"catalog_path={catalog}",
+            "crawl", "--duration", "0",
+        ]
         assert run(argv) == 2
         err = capsys.readouterr().err
-        assert str(labels) in err and "sydney/nope.pgm" in err
+        assert f"{catalog}{named}" in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
+    def test_unknown_labeled_path_is_data_error(self, corpus, tmp_path, capsys):
+        records = ingestion.scan_manifest(corpus, city="sydney")
+        emptied = records[0].relative_path
+        (corpus / emptied).write_bytes(b"")
+        last = records[-1]
+        camera = ingestion.CameraMeta("cam1", "sydney", 0.0, 0.0, 60.0)
+        duplicate = ingestion.FrameStore(corpus).store_frame(
+            camera, last.captured_at + timedelta(minutes=1), (corpus / last.relative_path).read_bytes()
+        )
+        assert duplicate.status == "duplicate"
+        regular = records[1].relative_path
+        labels = tmp_path / "labels.json"
+        for path in ("sydney/nope.pgm", emptied, duplicate.relative_path):
+            labels.write_text(json.dumps([
+                {"relative_path": regular, "label": "regular"},
+                {"relative_path": path, "label": "outlier"},
+            ]))
+            argv = ["--set", f"data_root={corpus}", "clean", "--city", "sydney", "--labels", str(labels)]
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert f"{labels}: entry 1: relative_path {path!r}" in err and "Traceback" not in err
 
 
     def synth_argv(self, tmp_path, scene):
@@ -593,8 +695,11 @@ class TestCorruptInputs:
 
     @pytest.mark.parametrize(
         "entry",
-        [{"relative_path": "PATH"}, {"label": "regular"}, "PATH", None],
-        ids=["no-label", "no-path", "string", "null"],
+        [
+            {"relative_path": "PATH"}, {"label": "regular"}, "PATH", None,
+            {"relative_path": [1], "label": "regular"}, {"relative_path": "PATH", "label": ["regular"]},
+        ],
+        ids=["no-label", "no-path", "string", "null", "list-path", "list-label"],
     )
     def test_malformed_labels_entry_is_data_error(self, corpus, tmp_path, capsys, entry):
         stored = ingestion.scan_manifest(corpus, city="sydney")[0].relative_path

@@ -11,8 +11,6 @@ from densigraph.quality import (
     REGULAR,
     ImageFeatures,
     LabeledSet,
-    TraceEntry,
-    clean_trace,
     fit_clusters,
 )
 from densigraph.statfit import cdf_eval, fit_family, ks_statistic
@@ -171,30 +169,12 @@ def test_ks_probability_integral_transform_invariance():
 def _random_features(rng):
     return ImageFeatures(
         byte_size=int(rng.integers(0, 5000)),
-        decode_ok=bool(rng.random() < 0.9),
         width=10,
         height=10,
         mean_intensity=float(rng.uniform(0, 255)),
         intensity_variance=float(rng.uniform(0, 500)),
         edge_density=float(rng.uniform(0, 1)),
     )
-
-
-def test_clean_trace_partitions_input():
-    rng = np.random.default_rng(108)
-    for _ in range(N_CASES):
-        entries = [
-            TraceEntry(f"p{i}", _random_features(rng), is_duplicate=bool(rng.random() < 0.1))
-            for i in range(int(rng.integers(1, 20)))
-        ]
-        kept, removed = clean_trace(entries, None)
-        assert len(kept) + len(removed) == len(entries)
-        merged = sorted(kept + [e for e, _ in removed], key=lambda e: int(e.relative_path[1:]))
-        assert merged == entries
-        for e, reason in removed:
-            assert reason in {"ZeroSize", "DecodeError", "Duplicate", "ClusterOutlier"}
-            if e.features.byte_size == 0:
-                assert reason == "ZeroSize"
 
 
 def test_standardization_round_trip():

@@ -1,28 +1,22 @@
 import numpy as np
 import pytest
 
-from densigraph import synth
 from densigraph.errors import TooFewPoints
-from densigraph.pgmio import write_p5
 from densigraph.quality import (
     OUTLIER,
     REGULAR,
     ClusterModel,
     ImageFeatures,
     LabeledSet,
-    TraceEntry,
     classify,
-    clean_trace,
     extract_features,
     fit_clusters,
-    rule_filter,
 )
 
 
 def feat(**kw):
     base = dict(
         byte_size=1000,
-        decode_ok=True,
         width=10,
         height=10,
         mean_intensity=100.0,
@@ -34,41 +28,24 @@ def feat(**kw):
 
 
 class TestExtractFeatures:
-    def test_empty_bytes(self):
-        f = extract_features(b"")
-        assert f == ImageFeatures(0, False, 0, 0, 0.0, 0.0, 0.0)
-
-    def test_garbage_bytes(self):
-        f = extract_features(b"this is not an image at all")
-        assert not f.decode_ok and f.byte_size == 27
+    def test_shape_and_byte_size(self):
+        f = extract_features(np.zeros((6, 9), dtype=np.uint8), 27)
+        assert (f.byte_size, f.width, f.height) == (27, 9, 6)
 
     def test_uniform_gray(self):
-        data = write_p5(np.full((10, 10), 128, dtype=np.uint8))
-        f = extract_features(data)
-        assert f.decode_ok
+        f = extract_features(np.full((10, 10), 128, dtype=np.uint8), 100)
         assert f.mean_intensity == 128.0
         assert f.intensity_variance == 0.0
         assert f.edge_density == 0.0
 
     def test_checkerboard_edges(self):
         board = np.indices((8, 8)).sum(axis=0) % 2 * 255
-        f = extract_features(write_p5(board.astype(np.uint8)))
+        f = extract_features(board.astype(np.uint8), 64)
         assert f.edge_density == 1.0
 
     def test_deterministic(self):
-        data = write_p5(np.random.default_rng(0).integers(0, 256, (6, 6)).astype(np.uint8))
-        assert extract_features(data) == extract_features(data)
-
-
-class TestRuleFilter:
-    def test_zero_size(self):
-        assert rule_filter(feat(byte_size=0, decode_ok=False)) == "ZeroSize"
-
-    def test_decode_error(self):
-        assert rule_filter(feat(decode_ok=False)) == "DecodeError"
-
-    def test_pass(self):
-        assert rule_filter(feat()) is None
+        img = np.random.default_rng(0).integers(0, 256, (6, 6)).astype(np.uint8)
+        assert extract_features(img, 36) == extract_features(img, 36)
 
 
 def two_blob_features(n_reg, n_out, seed=0):
@@ -142,7 +119,7 @@ class TestClassify:
             cluster_labels=(REGULAR, OUTLIER),
             feature_mean=np.zeros(1),
             feature_std=np.ones(1),
-            kept_dims=(4,),  # mean_intensity drives the toy model
+            kept_dims=(3,),  # mean_intensity drives the toy model
         )
 
     def test_at_centroids(self):
@@ -161,58 +138,3 @@ class TestClassify:
         model = fit_clusters(reg + out, labeled, k=3, seed=1)
         v = model.standardize(reg[5].vector())
         assert np.isfinite(v).all()
-
-
-class TestCleanTrace:
-    def entries(self):
-        reg, out = two_blob_features(20, 3, seed=5)
-        labeled = LabeledSet(((reg[0], REGULAR), (out[0], OUTLIER)))
-        model = fit_clusters(reg + out, labeled, k=2, seed=0)
-        entries = (
-            [TraceEntry(f"r{i}.pgm", f) for i, f in enumerate(reg)]
-            + [TraceEntry("zero.pgm", feat(byte_size=0, decode_ok=False))]
-            + [TraceEntry("bad.pgm", feat(decode_ok=False))]
-            + [TraceEntry("dup.pgm", reg[1], is_duplicate=True)]
-            + [TraceEntry(f"o{i}.pgm", f) for i, f in enumerate(out)]
-        )
-        return entries, model
-
-    def test_partition(self):
-        entries, model = self.entries()
-        kept, removed = clean_trace(entries, model)
-        assert len(kept) + len(removed) == len(entries)
-        assert set(id(e) for e in kept).isdisjoint(id(e) for e, _ in removed)
-        assert [e for e in entries if e in kept or any(e is r for r, _ in removed)]
-
-    def test_reasons(self):
-        entries, model = self.entries()
-        _, removed = clean_trace(entries, model)
-        reasons = {e.relative_path: r for e, r in removed}
-        assert reasons["zero.pgm"] == "ZeroSize"
-        assert reasons["bad.pgm"] == "DecodeError"
-        assert reasons["dup.pgm"] == "Duplicate"
-        assert reasons["o0.pgm"] == "ClusterOutlier"
-
-    def test_rules_precede_clustering(self):
-        entries, model = self.entries()
-        _, removed = clean_trace(entries, model)
-        for e, reason in removed:
-            if e.features.byte_size == 0:
-                assert reason == "ZeroSize"
-
-    def test_no_outliers_keeps_all(self):
-        reg, out = two_blob_features(10, 1, seed=6)
-        entries = [TraceEntry(f"r{i}", f) for i, f in enumerate(reg)]
-        kept, removed = clean_trace(entries, None)
-        assert kept == entries and removed == []
-
-    def test_only_zero_size(self):
-        entries = [TraceEntry("z", feat(byte_size=0, decode_ok=False))] * 3
-        kept, removed = clean_trace(entries, None)
-        assert kept == [] and len(removed) == 3
-
-    def test_order_preserved(self):
-        entries, model = self.entries()
-        kept, _ = clean_trace(entries, model)
-        idx = [entries.index(e) for e in kept]
-        assert idx == sorted(idx)
