@@ -1,9 +1,11 @@
 """Randomized invariant suite: 1000 cases per property."""
 
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 
-from densigraph import kernels, synth
+from densigraph import ingestion, kernels, synth
 from densigraph.density import build_background
 from densigraph.lrd import TimeSeries, aggregate_series
 from densigraph.quality import (
@@ -13,8 +15,10 @@ from densigraph.quality import (
     LabeledSet,
     fit_clusters,
 )
+from densigraph.pgmio import write_p5
 from densigraph.statfit import cdf_eval, fit_family, ks_statistic
 
+from test_cli import removed_rows, run_ok
 from test_density import make_frames
 
 N_CASES = 1000
@@ -175,6 +179,42 @@ def _random_features(rng):
         intensity_variance=float(rng.uniform(0, 500)),
         edge_density=float(rng.uniform(0, 1)),
     )
+
+
+def test_clean_trace_partitions_input(tmp_path):
+    """clean without labels: each record is kept or removed once, in
+    scan_manifest order, and a record with no bytes is always ZeroSize."""
+    rng = np.random.default_rng(108)
+    t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    kinds = ("ok", "failed", "repeat", "garbage", "emptied", "cut")
+    expected_reason = {"failed": "ZeroSize", "garbage": "DecodeError", "emptied": "ZeroSize", "cut": "DecodeError"}
+    for case in range(N_CASES):
+        root = tmp_path / str(case)
+        store = ingestion.FrameStore(root)
+        expected = {}
+        for cam in rng.permutation(["c1", "c2"])[: int(rng.integers(1, 3))]:
+            camera = ingestion.CameraMeta(str(cam), "city", 0.0, 0.0, 60.0)
+            last = None
+            for i in range(int(rng.integers(1, 8))):
+                kind = kinds[int(rng.integers(len(kinds)))]
+                frame = write_p5(rng.integers(0, 256, (4, 4), dtype=np.uint8))
+                data = {"failed": b"", "garbage": b"junk", "repeat": last or frame}.get(kind, frame)
+                rec = store.store_frame(camera, t0 + timedelta(minutes=i), data)
+                last = data if rec.status == "stored" else last
+                path = root / rec.relative_path
+                if kind == "emptied" or (kind == "cut" and rec.status == "stored"):
+                    path.write_bytes(b"" if kind == "emptied" else data[:-1])
+                if rec.status == "duplicate":
+                    expected[rec.relative_path] = "Duplicate"
+                elif rec.status == "failed" or not path.read_bytes():
+                    expected[rec.relative_path] = "ZeroSize"
+                else:
+                    expected[rec.relative_path] = expected_reason.get(kind)
+        run_ok("--set", f"data_root={root}", "clean", "--city", "city")
+        removed = [row.split(",") for row in removed_rows(root, city="city")]
+        order = [r.relative_path for r in ingestion.scan_manifest(root, city="city")]
+        assert sorted(order) == sorted(expected)
+        assert removed == [[p, expected[p]] for p in order if expected[p]]
 
 
 def test_standardization_round_trip():

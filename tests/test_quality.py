@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from densigraph import ingestion, quality
 from densigraph.errors import TooFewPoints
+from densigraph.pgmio import decode_image, write_p5
 from densigraph.quality import (
     OUTLIER,
     REGULAR,
@@ -12,6 +16,8 @@ from densigraph.quality import (
     extract_features,
     fit_clusters,
 )
+
+from test_cli import dirty_city, random_frames, removed_rows, run_ok, store_city
 
 
 def feat(**kw):
@@ -46,6 +52,30 @@ class TestExtractFeatures:
     def test_deterministic(self):
         img = np.random.default_rng(0).integers(0, 256, (6, 6)).astype(np.uint8)
         assert extract_features(img, 36) == extract_features(img, 36)
+
+    def test_empty_bytes(self, tmp_path, monkeypatch):
+        # an emptied file is ZeroSize and never reaches extract_features
+        root = tmp_path / "data"
+        cam1, cam2 = dirty_city(root)
+        sizes = record_feature_calls(monkeypatch)
+        removed = clean(root, "--labels", dirty_labels(tmp_path, cam1, cam2))
+        assert removed[cam1[13]] == "ZeroSize"
+        assert min(sizes) > 0
+        assert len(sizes) == len(manifest_paths(root)) - 4  # kept by the rules
+
+    def test_garbage_bytes(self, tmp_path, monkeypatch):
+        # undecodable bytes are DecodeError and never reach extract_features
+        assert decode_image(b"not an image") is None
+        root = tmp_path / "data"
+        frames = [write_p5(a) for a in random_frames(1, 6)]
+        template = write_p5(np.full((8, 8), 250, dtype=np.uint8))
+        store_city(root, {"cam1": frames[:3] + [b"not an image", template] + frames[3:]})
+        paths = manifest_paths(root)
+        labels = write_labels(tmp_path, [(paths[0], REGULAR), (paths[4], OUTLIER)])
+        sizes = record_feature_calls(monkeypatch)
+        removed = clean(root, "--labels", labels)
+        assert removed[paths[3]] == "DecodeError"
+        assert len(sizes) == len(paths) - 1
 
 
 def two_blob_features(n_reg, n_out, seed=0):
@@ -138,3 +168,128 @@ class TestClassify:
         model = fit_clusters(reg + out, labeled, k=3, seed=1)
         v = model.standardize(reg[5].vector())
         assert np.isfinite(v).all()
+
+
+def manifest_paths(root):
+    return [r.relative_path for r in ingestion.scan_manifest(root, city="testcity")]
+
+
+def clean(root, *extra):
+    """Run the clean stage on root's testcity; removed.csv as path -> reason."""
+    run_ok("--set", f"data_root={root}", "clean", "--city", "testcity", *extra)
+    rows = [row.split(",") for row in removed_rows(root)]
+    assert len({path for path, _ in rows}) == len(rows)
+    return dict(rows)
+
+
+def write_labels(tmp_path, pairs):
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps([{"relative_path": p, "label": lab} for p, lab in pairs]))
+    return str(labels)
+
+
+def dirty_labels(tmp_path, cam1, cam2):
+    return write_labels(tmp_path, [(cam1[0], REGULAR), (cam2[0], REGULAR), (cam1[10], OUTLIER)])
+
+
+def record_feature_calls(monkeypatch):
+    """Wrap quality.extract_features; returns the byte sizes it is given."""
+    sizes = []
+    extract = quality.extract_features
+
+    def recording(img, byte_size):
+        sizes.append(byte_size)
+        return extract(img, byte_size)
+
+    monkeypatch.setattr(quality, "extract_features", recording)
+    return sizes
+
+
+class TestRuleFilter:
+    """clean's rules, each on a few stored frames, without --labels."""
+
+    def test_zero_size(self, tmp_path):
+        root = tmp_path / "data"
+        frames = [write_p5(a) for a in random_frames(2, 3)]
+        store_city(root, {"cam1": [frames[0], b"", frames[1], frames[2]]})
+        paths = manifest_paths(root)
+        (root / paths[3]).write_bytes(b"")  # emptied after storing
+        assert clean(root) == {paths[1]: "ZeroSize", paths[3]: "ZeroSize"}
+
+    def test_decode_error(self, tmp_path):
+        root = tmp_path / "data"
+        frames = [write_p5(a) for a in random_frames(3, 3)]
+        store_city(root, {"cam1": [frames[0], b"not an image", frames[1], frames[2]]})
+        paths = manifest_paths(root)
+        cut = root / paths[3]
+        cut.write_bytes(cut.read_bytes()[:-10])  # cut short after storing
+        assert clean(root) == {paths[1]: "DecodeError", paths[3]: "DecodeError"}
+
+    def test_pass(self, tmp_path):
+        # every decodable frame is kept, an error template too: only
+        # clustering with --labels can remove it
+        root = tmp_path / "data"
+        frames = [write_p5(a) for a in random_frames(4, 5)]
+        template = write_p5(np.full((8, 8), 250, dtype=np.uint8))
+        store_city(root, {"cam1": frames[:2] + [template] + frames[2:]})
+        assert clean(root) == {}
+
+
+class TestCleanTrace:
+    """clean on a city with every rule hit and labeled error templates."""
+
+    def clean_dirty_city(self, tmp_path):
+        root = tmp_path / "data"
+        cam1, cam2 = dirty_city(root)
+        removed = clean(root, "--labels", dirty_labels(tmp_path, cam1, cam2))
+        return root, cam1, cam2, removed
+
+    def test_partition(self, tmp_path):
+        root, _, _, removed = self.clean_dirty_city(tmp_path)
+        paths = manifest_paths(root)
+        assert set(removed) <= set(paths)
+        kept = [p for p in paths if p not in removed]
+        assert len(kept) + len(removed) == len(paths)
+        assert kept and removed
+
+    def test_reasons(self, tmp_path):
+        _, cam1, cam2, removed = self.clean_dirty_city(tmp_path)
+        assert removed[cam1[11]] == "Duplicate"
+        assert removed[cam1[12]] == "ZeroSize"  # failed record
+        assert removed[cam1[13]] == "ZeroSize"  # emptied file
+        assert removed[cam1[14]] == "DecodeError"  # cut-short file
+        assert removed[cam1[10]] == "ClusterOutlier"
+        assert removed[cam2[12]] == "ClusterOutlier"
+        assert set(removed.values()) == {"Duplicate", "ZeroSize", "DecodeError", "ClusterOutlier"}
+
+    def test_rules_precede_clustering(self, tmp_path):
+        root, cam1, _, removed = self.clean_dirty_city(tmp_path)
+        # the duplicate has the same template bytes as a ClusterOutlier
+        hashes = {r.relative_path: r.content_hash for r in ingestion.scan_manifest(root, city="testcity")}
+        assert hashes[cam1[11]] == hashes[cam1[10]]
+        assert (removed[cam1[10]], removed[cam1[11]]) == ("ClusterOutlier", "Duplicate")
+        for i, reason in zip(range(11, 15), ("Duplicate", "ZeroSize", "ZeroSize", "DecodeError")):
+            assert removed[cam1[i]] == reason
+
+    def test_no_outliers_keeps_all(self, tmp_path):
+        # without --labels there is no cluster model: only rule hits go
+        root = tmp_path / "data"
+        cam1, cam2 = dirty_city(root)
+        removed = clean(root)
+        assert sorted(removed) == sorted(cam1[11:15])
+        assert not set(removed) & set(cam2)
+
+    def test_only_zero_size(self, tmp_path):
+        root = tmp_path / "data"
+        store_city(root, {"cam1": [b"", b"", write_p5(random_frames(5, 1)[0])]})
+        paths = manifest_paths(root)
+        (root / paths[2]).write_bytes(b"")
+        assert clean(root) == dict.fromkeys(paths, "ZeroSize")
+
+    def test_order_preserved(self, tmp_path):
+        # cam2 is stored first; removed.csv still follows scan_manifest order
+        root, _, cam2, removed = self.clean_dirty_city(tmp_path)
+        paths = manifest_paths(root)
+        idx = [paths.index(p) for p in removed]
+        assert idx == sorted(idx)
+        assert list(removed)[-1] in cam2
