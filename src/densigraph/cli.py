@@ -275,8 +275,9 @@ def cmd_synth(cfg: Config, args) -> int:
         longitude=0.0,
         refresh_interval=args.step,
     )
+    text = ingestion.read_utf8(args.scene, InvalidSpec)  # names the scene file itself
     try:
-        spec = synth.SceneSpec.from_json(Path(args.scene).read_text())
+        spec = synth.SceneSpec.from_json(text)
         _check_capture_grid(args, spec.frame_count)
         frames = synth.frames_from_spec(spec, args.camera_id, args.t0, args.step)
     except InvalidSpec as exc:
@@ -293,7 +294,7 @@ def cmd_synth(cfg: Config, args) -> int:
 def _read_labels(path: str) -> list[tuple[str, str]]:
     """The (relative_path, label) pairs of a labeled-seed JSON file."""
     try:
-        spec = json.loads(Path(path).read_text())
+        spec = json.loads(ingestion.read_utf8(path, CorruptLabels))
     except json.JSONDecodeError as exc:
         raise CorruptLabels(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(spec, list):

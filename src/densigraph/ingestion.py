@@ -35,6 +35,7 @@ __all__ = [
     "dedup_check",
     "FrameStore",
     "scan_manifest",
+    "read_utf8",
     "load_catalog",
     "fetch_url",
 ]
@@ -238,6 +239,17 @@ class FrameStore:
             fh.write(record.to_json() + "\n")
 
 
+def read_utf8(path: str | Path, error: type[Exception]) -> str:
+    """The text of a UTF-8 file. Other bytes raise error naming the file and
+    the line that holds them."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def scan_manifest(root: str | Path, city: str) -> list[ManifestRecord]:
     """All manifest records of one city, sorted by (camera_id, captured_at).
     Duplicates and failures are included; a city without a manifest has none.
@@ -252,7 +264,8 @@ def scan_manifest(root: str | Path, city: str) -> list[ManifestRecord]:
     if not manifest.exists():
         return []
     records = []
-    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
+    text = read_utf8(manifest, CorruptManifest)
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -276,7 +289,7 @@ def load_catalog(path: str | Path) -> list[CameraMeta]:
     twice, raises CorruptCatalog naming the catalog and the line or entry.
     """
     try:
-        entries = json.loads(Path(path).read_text())
+        entries = json.loads(read_utf8(path, CorruptCatalog))
     except json.JSONDecodeError as exc:
         raise CorruptCatalog(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(entries, list):

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from typing import Iterator
 
 import numpy as np
 
@@ -61,11 +62,13 @@ class SceneSpec:
     def validate(self) -> None:
         if self.width < 1 or self.height < 1 or self.frame_count < 1:
             raise InvalidSpec("non-positive dimensions")
-        if self.noise_stddev < 0:
-            raise InvalidSpec("negative noise stddev")
+        if not (math.isfinite(self.noise_stddev) and self.noise_stddev >= 0):
+            raise InvalidSpec(f"noise stddev must be finite and >= 0, got {self.noise_stddev}")
         bg = self.background_map()
         if bg.shape != (self.height, self.width):
             raise InvalidSpec(f"background is {bg.shape}, not {(self.height, self.width)}")
+        if not np.isfinite(bg).all():
+            raise InvalidSpec("background holds a non-finite value")
         for ev in self.vehicle_events:
             if not (0 <= ev.enter_frame < ev.exit_frame <= self.frame_count):
                 raise InvalidSpec(f"bad event window {ev.enter_frame}..{ev.exit_frame}")
@@ -118,21 +121,35 @@ class SceneSpec:
         return json.dumps(obj, sort_keys=True)
 
 
-def render_scene_sequence(spec: SceneSpec) -> list[np.ndarray]:
-    """Render every frame: background + active rectangles + clamped noise."""
+def render_scene_sequence(spec: SceneSpec) -> Iterator[np.ndarray]:
+    """Render each frame in turn: background + active rectangles + clamped noise.
+
+    The spec is validated on the call, before the first frame is drawn. Only
+    one frame's float64 work buffers are held; each yielded frame is a new
+    uint8 array.
+    """
     spec.validate()
+    return _render(spec)
+
+
+def _render(spec: SceneSpec) -> Iterator[np.ndarray]:
     bg = spec.background_map()
     rng = np.random.default_rng(spec.seed)
-    frames = []
+    img = np.empty_like(bg)
+    noise = np.empty_like(bg)
     for t in range(spec.frame_count):
-        img = bg.copy()
+        np.copyto(img, bg)
         for ev in spec.vehicle_events:
             if ev.enter_frame <= t < ev.exit_frame:
                 img[ev.y : ev.y + ev.height, ev.x : ev.x + ev.width] = ev.intensity
         if spec.noise_stddev > 0:
-            img += rng.normal(0.0, spec.noise_stddev, img.shape)
-        frames.append(np.clip(np.rint(img), 0, 255).astype(np.uint8))
-    return frames
+            # keep float64 and this draw order: the seed fixes every frame's bytes
+            rng.standard_normal(out=noise)
+            noise *= spec.noise_stddev
+            img += noise
+        np.rint(img, out=img)
+        np.clip(img, 0, 255, out=img)
+        yield img.astype(np.uint8)
 
 
 def coverage_truth(spec: SceneSpec, t: int) -> float:
@@ -151,15 +168,16 @@ def frames_from_spec(
     camera_id: str,
     t0: datetime | None = None,
     step_seconds: float = 60.0,
-) -> list[Frame]:
-    """Render a spec into timestamped Frames on a regular capture grid."""
+) -> Iterator[Frame]:
+    """Render a spec into timestamped Frames on a regular capture grid, one
+    at a time; the spec is validated on the call, as in render_scene_sequence."""
     if t0 is None:
         t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
     arrays = render_scene_sequence(spec)
-    return [
+    return (
         Frame(camera_id, t0 + timedelta(seconds=i * step_seconds), arr)
         for i, arr in enumerate(arrays)
-    ]
+    )
 
 
 def random_scene_spec(

@@ -142,11 +142,11 @@ def test_criterion_6_hurst_accuracy():
 def test_criterion_7_outlier_cleaning(tmp_path):
     rng = np.random.default_rng(70)
     scene = synth.random_scene_spec(70, frame_count=300)
-    arrays = synth.render_scene_sequence(scene)
+    arrays = list(synth.render_scene_sequence(scene))
     scene2 = synth.random_scene_spec(71, frame_count=300, max_concurrent=4)
-    arrays += synth.render_scene_sequence(scene2)
+    arrays += list(synth.render_scene_sequence(scene2))
     scene3 = synth.random_scene_spec(72, frame_count=350, max_concurrent=6)
-    arrays += synth.render_scene_sequence(scene3)
+    arrays += list(synth.render_scene_sequence(scene3))
     regular_bytes = [write_p5(a) for a in arrays[:950]]
 
     outlier_bytes = []

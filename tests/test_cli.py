@@ -238,7 +238,7 @@ def dirty_city(root):
     """Store two cameras whose bad frames are all error templates, so each
     would be a ClusterOutlier if a rule did not remove it first. Returns
     each camera's relative paths in capture order."""
-    arrays = synth.render_scene_sequence(synth.random_scene_spec(3, frame_count=24))
+    arrays = list(synth.render_scene_sequence(synth.random_scene_spec(3, frame_count=24)))
     regular = [write_p5(a) for a in arrays]
     template = [write_p5(np.full((100, 100), 240 + i, dtype=np.uint8)) for i in range(6)]
     # cam2 is stored first; scan_manifest still puts cam1's records first
@@ -559,6 +559,20 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert f"{manifest}:151:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("stage", ["synth", "density"])
+    def test_manifest_line_not_utf8_is_data_error(self, corpus, tmp_path, capsys, stage):
+        manifest = corpus / "sydney" / "manifest.jsonl"
+        with manifest.open("ab") as fh:
+            fh.write(b"\xff\n")
+        argv = {
+            "synth": self.synth_argv(tmp_path, tmp_path / "scene.json"),
+            "density": ["--set", f"data_root={corpus}", "density", "--city", "sydney"],
+        }[stage]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:151: not UTF-8" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "row",
         [
@@ -600,12 +614,16 @@ class TestCorruptInputs:
 
     @pytest.mark.parametrize(
         "text,named",
-        [('[{"camera_id": "c1", "city": "s"', ": line 1:"), ('{"camera_id": "c1"}', ": expected")],
-        ids=["torn", "not-a-list"],
+        [
+            (b'[{"camera_id": "c1", "city": "s"', ": line 1:"),
+            (b'{"camera_id": "c1"}', ": expected"),
+            (b"\xff\xfe[", ":1: not UTF-8"),
+        ],
+        ids=["torn", "not-a-list", "not-utf8"],
     )
     def test_crawl_rejects_catalog_that_is_not_a_json_list(self, tmp_path, capsys, text, named):
         catalog = tmp_path / "catalog.json"
-        catalog.write_text(text)
+        catalog.write_bytes(text)
         argv = [
             "--set", f"data_root={tmp_path / 'data'}", "--set", f"catalog_path={catalog}",
             "crawl", "--duration", "0",
@@ -665,10 +683,15 @@ class TestCorruptInputs:
             {"set": ("background", [[1, 2], [3, 4]])},
             {"set": ("vehicle_events", [{"x": 1}])},
             {"set": ("vehicle_events", 7)},
+            {"set": ("noise_stddev", float("nan"))},
+            {"set": ("background", float("nan"))},
+            {"set": ("background", 1e400)},
+            {"set": ("background", [[60.0] * 100] * 99 + [[60.0] * 99 + [float("-inf")]])},
         ],
         ids=[
             "no-events", "no-width", "unknown-key", "str-width", "null-noise",
-            "background-shape", "bad-event", "events-not-list",
+            "background-shape", "bad-event", "events-not-list", "nan-noise",
+            "nan-background", "1e400-background", "inf-in-background-grid",
         ],
     )
     def test_malformed_scene_is_data_error(self, tmp_path, capsys, edit):
@@ -679,11 +702,28 @@ class TestCorruptInputs:
             key, value = edit["set"]
             obj[key] = value
         scene = tmp_path / "scene.json"
-        scene.write_text(json.dumps(obj))
+        # json.dumps writes inf as Infinity; 1e400 is the other spelling json.loads reads as inf
+        scene.write_text(json.dumps(obj).replace("Infinity", "1e400"))
         assert run(self.synth_argv(tmp_path, scene)) == 2
         err = capsys.readouterr().err
         assert str(scene) in err and "Traceback" not in err
         assert not (tmp_path / "data").exists()
+
+    def test_scene_not_utf8_is_data_error(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        scene.write_bytes(b"\xff\xfe[")
+        assert run(self.synth_argv(tmp_path, scene)) == 2
+        err = capsys.readouterr().err
+        assert f"{scene}:1: not UTF-8" in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
+    def test_labels_not_utf8_is_data_error(self, corpus, tmp_path, capsys):
+        labels = tmp_path / "labels.json"
+        labels.write_bytes(b'[\n {"relative_path": "sydney/\xe9.pgm", "label": "regular"}]')
+        argv = ["--set", f"data_root={corpus}", "clean", "--city", "sydney", "--labels", str(labels)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{labels}:2: not UTF-8" in err and "Traceback" not in err
 
     def test_torn_labels_json_is_data_error(self, corpus, tmp_path, capsys):
         labels = tmp_path / "labels.json"

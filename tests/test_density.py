@@ -210,7 +210,7 @@ class TestProcessSequence:
 
     def test_deterministic(self):
         spec = synth.random_scene_spec(9, frame_count=120)
-        frames = synth.frames_from_spec(spec, "cam1")
+        frames = list(synth.frames_from_spec(spec, "cam1"))
         r1 = process_sequence(frames, z=100, tau=25)
         r2 = process_sequence(frames, z=100, tau=25)
         assert r1 == r2
@@ -221,7 +221,7 @@ class TestProcessSequence:
 
     def test_generator_equals_list(self):
         spec = synth.random_scene_spec(4, frame_count=130)
-        frames = synth.frames_from_spec(spec, "cam1")
+        frames = list(synth.frames_from_spec(spec, "cam1"))
         streamed = process_sequence((f for f in frames), z=100, tau=25)
         assert streamed == process_sequence(frames, z=100, tau=25)
         assert len(streamed) == 130

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,14 +30,37 @@ class TestRenderScene:
 
     def test_deterministic(self):
         spec = plain_spec(noise=4.0, seed=77)
-        a = synth.render_scene_sequence(spec)
-        b = synth.render_scene_sequence(spec)
+        a = list(synth.render_scene_sequence(spec))
+        b = list(synth.render_scene_sequence(spec))
+        assert len(a) == len(b) == 20
         assert all((x == y).all() for x, y in zip(a, b))
+
+    def test_frames_are_pinned(self):
+        # locks the noise draws and their order: the seed fixes every frame's bytes
+        spec = synth.random_scene_spec(11, width=160, height=120, frame_count=64)
+        digest = hashlib.sha256()
+        for f in synth.render_scene_sequence(spec):
+            digest.update(f.tobytes())
+        assert digest.hexdigest() == "17a1630863f58dc24c50cd80c1442252dcac069f91f840a9bffef11091cf977b"
+
+    def test_holds_one_frame_at_a_time(self):
+        spec = synth.random_scene_spec(4, width=640, height=480, frame_count=60)
+        float_frame = 640 * 480 * 8
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in synth.frames_from_spec(spec, "cam1"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 60
+        assert peak < 4 * float_frame, f"peak {peak / 2**20:.1f} MiB"
 
     def test_invalid_rectangle(self):
         ev = synth.VehicleEvent(0, 5, 95, 95, 10, 10, 200)
         with pytest.raises(InvalidSpec):
             synth.render_scene_sequence(plain_spec([ev]))
+        with pytest.raises(InvalidSpec):
+            synth.frames_from_spec(plain_spec([ev]), "cam1")
 
     def test_intensity_too_close_to_background(self):
         ev = synth.VehicleEvent(0, 5, 0, 0, 10, 10, 65)
@@ -97,7 +122,7 @@ class TestCoverageTruth:
 
     def test_agrees_with_noiseless_render(self):
         spec = synth.random_scene_spec(8, frame_count=40, noise_stddev=0.0)
-        frames = synth.render_scene_sequence(spec)
+        frames = list(synth.render_scene_sequence(spec))
         for t in (0, 10, 39):
             painted = int((frames[t] != 60).sum())
             assert painted == round(synth.coverage_truth(spec, t) * 100 * 100)
