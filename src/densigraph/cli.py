@@ -371,9 +371,12 @@ def cmd_density(cfg: Config, args) -> int:
 
     total = 0
     for camera_id, recs in by_camera.items():
-        records = density_mod.process_sequence(
-            _decoded_frames(cfg, recs), z=cfg.window_z, tau=cfg.tau
-        )
+        try:
+            records = density_mod.process_sequence(
+                _decoded_frames(cfg, recs), z=cfg.window_z, tau=cfg.tau
+            )
+        except DensigraphError as exc:
+            raise type(exc)(f"{args.city}/{camera_id}: {exc}") from exc
         out = cfg.data_root / args.city / "density" / f"{camera_id}.csv"
         _atomic_write(out, density_mod.write_trace_csv(records))
         total += len(records)
@@ -391,8 +394,11 @@ def _read_city_traces(cfg: Config, city: str) -> dict[str, list]:
             f"{clash}: camera id {city!r} is its city's name, so its fits would "
             "collide with the pooled city fits"
         )
+    paths = sorted(folder.glob("*.csv"))
+    if not paths:
+        raise DensigraphError(f"{folder} holds no density traces; run the density stage first")
     traces = {}
-    for p in sorted(folder.glob("*.csv")):
+    for p in paths:
         try:
             traces[p.stem] = density_mod.read_trace_csv(p.read_text())
         except ValueError as exc:

@@ -19,16 +19,11 @@ import numpy as np
 from . import kernels
 from .errors import InsufficientFrames, OutOfOrderTimestamp, ShapeMismatch
 from .ingestion import format_rfc3339, parse_rfc3339
-from .pgmio import to_grayscale  # re-exported: grayscale is part of this stage
 
 __all__ = [
     "Frame",
-    "BackgroundModel",
     "DensityRecord",
-    "to_grayscale",
     "build_background",
-    "high_pass",
-    "density",
     "process_sequence",
     "write_trace_csv",
     "read_trace_csv",
@@ -41,20 +36,6 @@ class Frame:
     captured_at: datetime
     pixels: np.ndarray  # (height, width) uint8
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-
-@dataclass(frozen=True)
-class BackgroundModel:
-    values: np.ndarray  # (height, width) float64, each value in [0, 255]
-    built_from: tuple[datetime, ...]
-
 
 @dataclass(frozen=True)
 class DensityRecord:
@@ -64,24 +45,22 @@ class DensityRecord:
     normalized: float
 
 
-def _check_frame(frame: Frame, first: Frame) -> None:
-    if frame.pixels.shape != first.pixels.shape:
+def _check_next(frame: Frame, prev: Frame) -> None:
+    """Refuse a frame that cannot follow ``prev`` in one camera's sequence."""
+    if frame.camera_id != prev.camera_id:
+        raise ShapeMismatch(f"mixed cameras {frame.camera_id!r} / {prev.camera_id!r}")
+    if frame.pixels.shape != prev.pixels.shape:
         raise ShapeMismatch(
-            f"frame {frame.captured_at} shape {frame.pixels.shape} != {first.pixels.shape}"
+            f"frame {frame.captured_at} shape {frame.pixels.shape} != {prev.pixels.shape}"
         )
-    if frame.camera_id != first.camera_id:
-        raise ShapeMismatch(f"mixed cameras {frame.camera_id!r} / {first.camera_id!r}")
-
-
-def _check_order(frame: Frame, prev: Frame) -> None:
     if frame.captured_at <= prev.captured_at:
         raise OutOfOrderTimestamp(
             f"{frame.camera_id}: frame {frame.captured_at} is not later than {prev.captured_at}"
         )
 
 
-def build_background(frames: Iterable[Frame], z: int) -> BackgroundModel:
-    """Pixelwise mean of the first z frames (real-valued, no rounding).
+def build_background(frames: Iterable[Frame], z: int) -> np.ndarray:
+    """Pixelwise mean of the first z frames (float64, no rounding).
 
     The frames are summed as integers, which float64 holds exactly, and
     divided once, so the result equals the float64 mean of their stack.
@@ -89,36 +68,17 @@ def build_background(frames: Iterable[Frame], z: int) -> BackgroundModel:
     window = list(islice(frames, max(z, 0)))
     if z < 2 or len(window) < z:
         raise InsufficientFrames(f"need >= {max(z, 2)} frames, got {len(window)}")
+    for prev, frame in zip(window, window[1:]):
+        _check_next(frame, prev)
     total = np.zeros(window[0].pixels.shape, dtype=np.int64)
-    for f in window:
-        _check_frame(f, window[0])
-        total += f.pixels
-    return BackgroundModel(
-        values=total / z, built_from=tuple(f.captured_at for f in window)
-    )
+    for frame in window:
+        total += frame.pixels
+    return total / z
 
 
-def high_pass(frame: Frame, bg: BackgroundModel, tau: float) -> np.ndarray:
-    """Thresholded residual image: round(frame - bg) where the raw
-    difference exceeds tau, else 0. Negative differences are dropped."""
-    if frame.pixels.shape != bg.values.shape:
-        raise ShapeMismatch(
-            f"frame {frame.pixels.shape} vs background {bg.values.shape}"
-        )
-    return kernels.highpass_image(frame.pixels, bg.values, float(tau))
-
-
-def density(residual: np.ndarray) -> tuple[int, float]:
-    """Sum a thresholded image into (raw_density, normalized)."""
-    d = int(residual.astype(np.int64).sum())
-    h, w = residual.shape
-    return d, d / (h * w * 255)
-
-
-def _frame_density(frame: Frame, bg: BackgroundModel, tau: float) -> DensityRecord:
-    d, _active = kernels.highpass_sum(frame.pixels, bg.values, float(tau))
-    denom = frame.height * frame.width * 255
-    return DensityRecord(frame.camera_id, frame.captured_at, d, d / denom)
+def _frame_density(frame: Frame, bg: np.ndarray, tau: float) -> DensityRecord:
+    d, _active = kernels.highpass_sum(frame.pixels, bg, float(tau))
+    return DensityRecord(frame.camera_id, frame.captured_at, d, d / (frame.pixels.size * 255))
 
 
 def process_sequence(frames: Iterable[Frame], z: int, tau: float) -> list[DensityRecord]:
@@ -126,21 +86,18 @@ def process_sequence(frames: Iterable[Frame], z: int, tau: float) -> list[Densit
 
     The background is built once from the first z frames and held constant.
     Only those z frames are held at once, so ``frames`` may be a generator
-    that decodes one frame at a time. A frame that is not later than the one
-    before it raises OutOfOrderTimestamp; a frame whose shape or camera
-    differs from the first raises ShapeMismatch.
+    that decodes one frame at a time. Each frame is checked against the one
+    before it: a different camera or shape raises ShapeMismatch, and a
+    capture time that is not later raises OutOfOrderTimestamp.
     """
     frames = iter(frames)
     window = list(islice(frames, max(z, 0)))
-    for prev, frame in zip(window, window[1:]):
-        _check_order(frame, prev)
     bg = build_background(window, z)  # raises InsufficientFrames if short
     records = [_frame_density(frame, bg, tau) for frame in window]
     prev = window[-1]
     del window  # from here on, one frame at a time
     for frame in frames:
-        _check_order(frame, prev)
-        _check_frame(frame, prev)
+        _check_next(frame, prev)
         records.append(_frame_density(frame, bg, tau))
         prev = frame
     return records

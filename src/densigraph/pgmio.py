@@ -8,6 +8,7 @@ with the standard luma weights.
 from __future__ import annotations
 
 import io
+import re
 
 import numpy as np
 
@@ -21,20 +22,21 @@ except ImportError:
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
 
-def to_grayscale(r, g, b):
-    """Luma conversion of 8-bit channels, rounded and clamped to [0, 255].
+# pgm(5): "P5", then width, height and maxval as decimal tokens, each after
+# whitespace or '#' comments that run to the end of the line, then exactly
+# one whitespace byte before the raster.
+_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_P5_HEADER = re.compile(rb"P5" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)\s")
 
-    Accepts scalars or arrays.
-    """
+
+def to_grayscale(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Luma conversion of 8-bit channel arrays, rounded and clamped to [0, 255]."""
     y = np.rint(
         LUMA_WEIGHTS[0] * np.asarray(r, dtype=np.float64)
         + LUMA_WEIGHTS[1] * np.asarray(g, dtype=np.float64)
         + LUMA_WEIGHTS[2] * np.asarray(b, dtype=np.float64)
     )
-    y = np.clip(y, 0, 255)
-    if np.isscalar(r):
-        return int(y)
-    return y.astype(np.uint8)
+    return np.clip(y, 0, 255).astype(np.uint8)
 
 
 def write_p5(pixels: np.ndarray) -> bytes:
@@ -51,34 +53,13 @@ def read_p5(data: bytes) -> np.ndarray:
 
     Raises ValueError on anything that is not a well-formed P5.
     """
-    if not data.startswith(b"P5"):
-        raise ValueError("not a P5 PGM")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        # skip whitespace and '#' comment lines between header tokens
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            end = data.find(b"\n", pos)
-            if end == -1:
-                raise ValueError("truncated P5 header")
-            pos = end + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError("truncated P5 header")
-        fields.append(data[start:pos])
-    try:
-        w, h, maxval = (int(f) for f in fields)
-    except ValueError as exc:
-        raise ValueError("bad P5 header") from exc
+    header = _P5_HEADER.match(data)
+    if header is None:
+        raise ValueError("not a P5 PGM header")
+    w, h, maxval = (int(field) for field in header.groups())
     if maxval != 255 or w < 1 or h < 1:
         raise ValueError("P5 must be 8-bit with positive dimensions")
-    pos += 1  # single whitespace byte after maxval
-    raster = data[pos : pos + w * h]
+    raster = data[header.end() : header.end() + w * h]
     if len(raster) != w * h:
         raise ValueError("P5 raster size mismatch")
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)

@@ -69,6 +69,8 @@ class SceneSpec:
             raise InvalidSpec(f"background is {bg.shape}, not {(self.height, self.width)}")
         if not np.isfinite(bg).all():
             raise InvalidSpec("background holds a non-finite value")
+        if bg.min() < 0 or bg.max() > 255:
+            raise InvalidSpec("background holds a value outside 0-255")
         for ev in self.vehicle_events:
             if not (0 <= ev.enter_frame < ev.exit_frame <= self.frame_count):
                 raise InvalidSpec(f"bad event window {ev.enter_frame}..{ev.exit_frame}")
@@ -76,6 +78,8 @@ class SceneSpec:
                 raise InvalidSpec("rectangle out of bounds")
             if ev.width < 1 or ev.height < 1:
                 raise InvalidSpec("degenerate rectangle")
+            if not 0 <= ev.intensity <= 255:
+                raise InvalidSpec(f"vehicle intensity {ev.intensity} is outside 0-255")
             patch = bg[ev.y : ev.y + ev.height, ev.x : ev.x + ev.width]
             if np.abs(ev.intensity - patch).min() <= 2 * self.noise_stddev:
                 raise InvalidSpec("vehicle intensity too close to background")

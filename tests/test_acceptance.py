@@ -52,7 +52,7 @@ def test_criterion_2_background_convergence():
     spec = _low_occlusion_spec(seed=11, frames=200)
     frames = synth.frames_from_spec(spec, "cam1")
     bg = build_background(frames, z=100)
-    err = float(np.abs(bg.values - 60.0).max())
+    err = float(np.abs(bg - 60.0).max())
     report(2, err <= 2.0, f"max background error {err:.3f} (<=2.0, occlusion <=5%)")
 
 

@@ -118,6 +118,18 @@ class TestExitCodes:
     def test_missing_data_is_data_error(self, tmp_path):
         assert run(["--set", f"data_root={tmp_path}", "density", "--city", "nowhere"]) == 2
 
+    @pytest.mark.parametrize("stage,out", [("fit", "fits"), ("lrd", "lrd"), ("report", "report")])
+    def test_empty_density_folder_is_data_error(self, tmp_path, capsys, stage, out):
+        city = tmp_path / "testcity"
+        (city / "density").mkdir(parents=True)
+        if stage == "report":
+            (city / "fits").mkdir()
+            (city / "lrd").mkdir()
+        assert run(["--set", f"data_root={tmp_path}", stage, "--city", "testcity"]) == 2
+        err = capsys.readouterr().err
+        assert str(city / "density") in err and "Traceback" not in err
+        assert not (city / out).exists()
+
     def test_bad_config_key(self, tmp_path):
         assert run(["--set", "bogus=1", "density", "--city", "x"]) == 1
 
@@ -361,6 +373,18 @@ class TestDensityStage:
         assert run(argv) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not (root / "testcity" / "density" / "cam0.csv").exists()
+
+    def test_short_camera_error_names_city_and_camera(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        counts = {"cam0": 6, "cam1": 3, "cam2": 6}
+        store_city(root, {cam: map(write_p5, random_frames(n, n)) for cam, n in counts.items()})
+        argv = ["--set", f"data_root={root}", "--set", "window_z=4", "density", "--city", "testcity"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "densigraph: testcity/cam1: need >= 4 frames, got 3" in err and "Traceback" not in err
+        # the first failing camera stops the stage
+        traces = sorted(p.name for p in (root / "testcity" / "density").iterdir())
+        assert traces == ["cam0.csv"]
 
     def test_size_change_mid_stream_exits_2_without_trace(self, tmp_path, capsys):
         frames = random_frames(6, 8) + random_frames(7, 1, shape=(9, 8)) + random_frames(8, 3)
@@ -687,17 +711,26 @@ class TestCorruptInputs:
             {"set": ("background", float("nan"))},
             {"set": ("background", 1e400)},
             {"set": ("background", [[60.0] * 100] * 99 + [[60.0] * 99 + [float("-inf")]])},
+            {"set": ("background", 300)},
+            {"set": ("background", [[60.0] * 100] * 99 + [[60.0] * 99 + [-1.0]])},
+            {"intensity": 400, "background": 255},
+            {"intensity": -50},
         ],
         ids=[
             "no-events", "no-width", "unknown-key", "str-width", "null-noise",
             "background-shape", "bad-event", "events-not-list", "nan-noise",
             "nan-background", "1e400-background", "inf-in-background-grid",
+            "background-300", "negative-in-background-grid", "intensity-400-on-255",
+            "intensity-negative",
         ],
     )
     def test_malformed_scene_is_data_error(self, tmp_path, capsys, edit):
         obj = json.loads(synth.random_scene_spec(5, frame_count=3).to_json())
         if "drop" in edit:
             del obj[edit["drop"]]
+        elif "intensity" in edit:
+            obj["vehicle_events"][0]["intensity"] = edit["intensity"]
+            obj["background"] = edit.get("background", obj["background"])
         else:
             key, value = edit["set"]
             obj[key] = value

@@ -6,17 +6,14 @@ import pytest
 
 from densigraph import kernels, synth
 from densigraph.density import (
-    BackgroundModel,
     Frame,
     build_background,
-    density,
-    high_pass,
     process_sequence,
     read_trace_csv,
-    to_grayscale,
     write_trace_csv,
 )
 from densigraph.errors import InsufficientFrames, OutOfOrderTimestamp, ShapeMismatch
+from densigraph.pgmio import to_grayscale
 
 T0 = datetime(2024, 3, 1, 8, 0, tzinfo=timezone.utc)
 
@@ -28,28 +25,33 @@ def make_frames(arrays, camera="cam1"):
     ]
 
 
+def gray(r, g, b):
+    return to_grayscale(*(np.full((2, 3), v, dtype=np.uint8) for v in (r, g, b)))
+
+
 class TestGrayscale:
     def test_gray_identity(self):
-        assert to_grayscale(128, 128, 128) == 128
+        out = gray(128, 128, 128)
+        assert out.dtype == np.uint8 and out.shape == (2, 3) and (out == 128).all()
 
     def test_white(self):
-        assert to_grayscale(255, 255, 255) == 255
+        assert (gray(255, 255, 255) == 255).all()
 
     def test_pure_red(self):
         # hand oracle: round(0.299 * 255) = round(76.245) = 76
-        assert to_grayscale(255, 0, 0) == 76
+        assert (gray(255, 0, 0) == 76).all()
 
 
 class TestBuildBackground:
     def test_mean_of_constant_frames(self):
         img = np.arange(12, dtype=np.uint8).reshape(3, 4)
         bg = build_background(make_frames([img] * 5), z=5)
-        np.testing.assert_array_equal(bg.values, img.astype(float))
+        np.testing.assert_array_equal(bg, img.astype(float))
 
     def test_mean_of_two_levels(self):
         frames = make_frames([np.zeros((2, 2)), np.full((2, 2), 100)])
         bg = build_background(frames, z=2)
-        assert (bg.values == 50.0).all()
+        assert (bg == 50.0).all()
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(5)
@@ -57,7 +59,7 @@ class TestBuildBackground:
         bg1 = build_background(make_frames(arrays), z=6)
         perm = [arrays[i] for i in rng.permutation(6)]
         bg2 = build_background(make_frames(perm), z=6)
-        np.testing.assert_allclose(bg1.values, bg2.values, atol=1e-9)
+        np.testing.assert_allclose(bg1, bg2, atol=1e-9)
 
     def test_too_few_frames(self):
         with pytest.raises(InsufficientFrames):
@@ -76,14 +78,13 @@ class TestBuildBackground:
                 arrays[:] = 255  # largest possible sum
             bg = build_background(make_frames(arrays), z=z)
             expected = np.stack(arrays[:z]).astype(np.float64).mean(axis=0)
-            assert np.array_equal(bg.values, expected)
+            assert np.array_equal(bg, expected)
 
     def test_accepts_a_generator(self):
         rng = np.random.default_rng(13)
         frames = make_frames(rng.integers(0, 256, (8, 4, 4), dtype=np.uint8))
         bg = build_background((f for f in frames), z=5)
-        assert np.array_equal(bg.values, build_background(frames, z=5).values)
-        assert bg.built_from == tuple(f.captured_at for f in frames[:5])
+        assert np.array_equal(bg, build_background(frames, z=5))
 
     def test_occlusion_error_bound(self):
         # oracle: the scene's uniform true background; every pixel occluded
@@ -91,7 +92,7 @@ class TestBuildBackground:
         spec = _low_occlusion_spec(seed=11, frames=200)
         frames = synth.frames_from_spec(spec, "cam1")
         bg = build_background(frames, z=100)
-        assert np.abs(bg.values - 60.0).max() <= 2.0
+        assert np.abs(bg - 60.0).max() <= 2.0
 
 
 def _low_occlusion_spec(seed, frames=200):
@@ -109,46 +110,44 @@ def _low_occlusion_spec(seed, frames=200):
     return synth.SceneSpec(100, 100, 60, tuple(events), 2.0, frames, seed)
 
 
-def bg_of(values):
-    return BackgroundModel(np.asarray(values, dtype=np.float64), (T0, T0))
-
-
 class TestHighPass:
     def test_self_subtraction(self):
         img = np.full((3, 3), 77, dtype=np.uint8)
-        frame = make_frames([img])[0]
-        out = high_pass(frame, bg_of(img), tau=25)
+        out = kernels.highpass_image(img, img.astype(np.float64), 25.0)
         assert (out == 0).all()
 
     def test_single_bright_pixel(self):
         img = np.zeros((3, 3), dtype=np.uint8)
         img[1, 1] = 200
-        out = high_pass(make_frames([img])[0], bg_of(np.zeros((3, 3))), tau=25)
+        out = kernels.highpass_image(img, np.zeros((3, 3)), 25.0)
         assert out[1, 1] == 200 and out.sum() == 200
 
     def test_sub_threshold_rejection(self):
         img = np.zeros((3, 3), dtype=np.uint8)
         img[0, 0] = 20
-        out = high_pass(make_frames([img])[0], bg_of(np.zeros((3, 3))), tau=25)
+        out = kernels.highpass_image(img, np.zeros((3, 3)), 25.0)
         assert (out == 0).all()
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            high_pass(make_frames([np.zeros((2, 2))])[0], bg_of(np.zeros((3, 3))), 25)
+
+def last_record(img, z=2):
+    """The density record of ``img`` after z zero frames (a zero background)."""
+    img = np.asarray(img, dtype=np.uint8)
+    records = process_sequence(make_frames([np.zeros_like(img)] * z + [img]), z=z, tau=25)
+    return records[-1].raw_density, records[-1].normalized
 
 
 class TestDensity:
     def test_all_zero(self):
-        assert density(np.zeros((5, 5), dtype=np.uint8)) == (0, 0.0)
+        assert last_record(np.zeros((5, 5))) == (0, 0.0)
 
     def test_saturation(self):
-        d, norm = density(np.full((100, 100), 255, dtype=np.uint8))
+        d, norm = last_record(np.full((100, 100), 255))
         assert d == 2_550_000 and norm == 1.0
 
     def test_single_pixel(self):
         img = np.zeros((10, 10), dtype=np.uint8)
         img[0, 0] = 200
-        d, norm = density(img)
+        d, norm = last_record(img)
         assert d == 200 and norm == pytest.approx(200 / 25500)
 
 
