@@ -29,6 +29,7 @@ import json
 import math
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -74,10 +75,17 @@ def _optional_path(value) -> Path | None:
     return None if value is None else _path(value)
 
 
+def _hours(value) -> float:
+    hours = _number(value)
+    if not (math.isfinite(hours) and -24 <= hours <= 24):
+        raise ValueError(f"expected finite hours in -24..24, got {value!r}")
+    return hours
+
+
 def _hours_by_city(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError("expected a JSON object of city -> hours")
-    return {city: _number(hours) for city, hours in value.items()}
+    return {city: _parse(_hours, hours, city) for city, hours in value.items()}
 
 
 def _parse(parse, value, where: str):
@@ -384,7 +392,8 @@ def cmd_density(cfg: Config, args) -> int:
     return 0
 
 
-def _read_city_traces(cfg: Config, city: str) -> dict[str, list]:
+def _read_city_traces(cfg: Config, city: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each camera's (seconds, normalized) trace, in camera-id order."""
     folder = cfg.data_root / city / "density"
     if not folder.exists():
         raise DensigraphError(f"run the density stage first: {folder} missing")
@@ -394,7 +403,7 @@ def _read_city_traces(cfg: Config, city: str) -> dict[str, list]:
             f"{clash}: camera id {city!r} is its city's name, so its fits would "
             "collide with the pooled city fits"
         )
-    paths = sorted(folder.glob("*.csv"))
+    paths = sorted(folder.glob("*.csv"), key=lambda p: p.stem)
     if not paths:
         raise DensigraphError(f"{folder} holds no density traces; run the density stage first")
     traces = {}
@@ -406,17 +415,40 @@ def _read_city_traces(cfg: Config, city: str) -> dict[str, list]:
     return traces
 
 
+def _subjects(city: str, traces: dict) -> list[tuple[str, np.ndarray]]:
+    """Each camera's normalized sample, then the city's, pooled in camera order."""
+    samples = [(camera_id, values) for camera_id, (_, values) in traces.items()]
+    return samples + [(city, np.concatenate([values for _, values in samples]))]
+
+
+def _remove_unwritten(folder: Path, pattern: str, written: set[Path]) -> None:
+    """Delete the files in ``folder`` matching ``pattern`` that this run did
+    not write, so no earlier run's output passes for this run's."""
+    for path in sorted(folder.glob(pattern)):
+        if path not in written:
+            path.unlink()
+            _log(f"removed {path}, which this run did not write")
+
+
+@contextmanager
+def _stats_json(path: Path) -> Iterator:
+    """Parse a fits/ or lrd/ JSON file for the with-block: bad JSON, or a key or
+    value the block cannot use, is a data error naming the file."""
+    text = path.read_text()
+    try:
+        yield json.loads(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DensigraphError(f"{path}: unusable: {type(exc).__name__}: {exc}") from exc
+
+
 def cmd_fit(cfg: Config, args) -> int:
     from . import statfit  # only fit and report need it; other stages skip the import
 
     traces = _read_city_traces(cfg, args.city)
     out_dir = cfg.data_root / args.city / "fits"
     summary = ["subject,family,params,ks_stat,passes_95"]
-    subjects = list(traces.items()) + [
-        (args.city, [r for recs in traces.values() for r in recs])
-    ]
-    for subject, records in subjects:
-        sample = np.array([r.normalized for r in records])
+    subjects = _subjects(args.city, traces)
+    for subject, sample in subjects:
         report = statfit.rank_fits(sample, subject=subject)
         _atomic_write(out_dir / f"{subject}.json", report.to_json() + "\n")
         for c in report.candidates:
@@ -427,6 +459,7 @@ def cmd_fit(cfg: Config, args) -> int:
         if report.low_confidence:
             _log(f"fit: {subject} has fewer than 30 records, low confidence")
     _atomic_write(out_dir / "summary.csv", "\n".join(summary) + "\n")
+    _remove_unwritten(out_dir, "*.json", {out_dir / f"{s}.json" for s, _ in subjects})
     _log(f"fit: wrote {len(subjects)} reports")
     return 0
 
@@ -434,18 +467,11 @@ def cmd_fit(cfg: Config, args) -> int:
 def cmd_lrd(cfg: Config, args) -> int:
     traces = _read_city_traces(cfg, args.city)
     out_dir = cfg.data_root / args.city / "lrd"
-    all_records = []
-    for camera_id, records in sorted(traces.items()):
-        all_records.extend(records)
-        gaps = [
-            (b.captured_at - a.captured_at).total_seconds()
-            for a, b in zip(records, records[1:])
-        ]
-        step = float(np.median(gaps)) if gaps else 60.0
-        segments = lrd.resample_locf(records, step)
-        if not segments:
-            continue
-        series = max(segments, key=lambda s: s.values.size)
+    written = set()
+    for camera_id, (seconds, values) in traces.items():
+        gaps = np.diff(seconds)
+        step = float(np.median(gaps)) if gaps.size else 60.0
+        series = max(lrd.resample_locf(seconds, values, step), key=len)
         for method, estimator in (
             ("variance_time", lrd.variance_time_hurst),
             ("rs", lrd.rs_hurst),
@@ -455,14 +481,16 @@ def cmd_lrd(cfg: Config, args) -> int:
             except DensigraphError as exc:
                 _log(f"lrd: {camera_id} {method}: {exc}")
                 continue
-            _atomic_write(
-                out_dir / f"{camera_id}.{method}.json", est.to_json(camera_id) + "\n"
-            )
+            path = out_dir / f"{camera_id}.{method}.json"
+            _atomic_write(path, est.to_json(camera_id) + "\n")
+            written.add(path)
     offset = cfg.tz_offsets.get(args.city, 0.0)
-    buckets = lrd.bucket_hourly(all_records, offset)
+    seconds, values = (np.concatenate(arrays) for arrays in zip(*traces.values()))
+    buckets = lrd.bucket_hourly(seconds, values, offset)
     lines = ["hour,mean_normalized,count"]
     lines += [f"{h},{mean:.6f},{count}" for h, mean, count in buckets]
     _atomic_write(out_dir / "hourly.csv", "\n".join(lines) + "\n")
+    _remove_unwritten(out_dir, "*.json", written)
     _log(f"lrd: reports for {len(traces)} cameras")
     return 0
 
@@ -479,13 +507,30 @@ def cmd_report(cfg: Config, args) -> int:
     out_dir = city_dir / "report"
     traces = _read_city_traces(cfg, args.city)
 
-    fits = {
-        p.stem: json.loads(p.read_text())
-        for p in sorted(fits_dir.glob("*.json"))
-    }
-    hursts = {
-        p.stem: json.loads(p.read_text()) for p in sorted(lrd_dir.glob("*.json"))
-    }
+    # CDF plot data: empirical + each fitted family on a common grid
+    fits, cdfs = {}, {}
+    for subject, sample in _subjects(args.city, traces):
+        sample = np.sort(sample)
+        grid = np.linspace(sample[0], sample[-1], 200)
+        cols = {"empirical": np.searchsorted(sample, grid, side="right") / sample.size}
+        with _stats_json(fits_dir / f"{subject}.json") as report:
+            for cand in report["candidates"]:
+                cols[cand["family"]] = np.asarray(
+                    statfit.cdf_eval(cand["family"], cand["params"], grid)
+                )
+        fits[subject] = report
+        lines = ["x," + ",".join(cols)]
+        for i, x in enumerate(grid):
+            row = ",".join(f"{cols[name][i]:.6f}" for name in cols)
+            lines.append(f"{x:.6f},{row}")
+        cdfs[out_dir / f"cdf_{subject}.csv"] = "\n".join(lines) + "\n"
+    hursts = {}
+    # <camera_id>.<method>.json; no method name holds a dot
+    for path in sorted(lrd_dir.glob("*.json")):
+        if path.stem.rpartition(".")[0] in traces:
+            with _stats_json(path) as estimate:
+                hursts[path.stem] = estimate
+
     summary = {
         "city": args.city,
         "fits": fits,
@@ -495,28 +540,9 @@ def cmd_report(cfg: Config, args) -> int:
         else [],
     }
     _atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True) + "\n")
-
-    # CDF plot data: empirical + each fitted family on a common grid
-    for subject, report in fits.items():
-        if subject in traces:
-            sample = np.array([r.normalized for r in traces[subject]])
-        else:
-            sample = np.array(
-                [r.normalized for recs in traces.values() for r in recs]
-            )
-        sample = np.sort(sample)
-        grid = np.linspace(sample[0], sample[-1], 200)
-        cols = {"empirical": np.searchsorted(sample, grid, side="right") / sample.size}
-        for cand in report["candidates"]:
-            cols[cand["family"]] = np.asarray(
-                statfit.cdf_eval(cand["family"], cand["params"], grid)
-            )
-        header = "x," + ",".join(cols)
-        lines = [header]
-        for i, x in enumerate(grid):
-            row = ",".join(f"{cols[name][i]:.6f}" for name in cols)
-            lines.append(f"{x:.6f},{row}")
-        _atomic_write(out_dir / f"cdf_{subject}.csv", "\n".join(lines) + "\n")
+    for path, text in cdfs.items():
+        _atomic_write(path, text)
+    _remove_unwritten(out_dir, "cdf_*.csv", set(cdfs))
     _log(f"report: bundle written to {out_dir}")
     return 0
 

@@ -117,29 +117,31 @@ def write_trace_csv(records: Iterable[DensityRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trace_row(line: str, prev: DensityRecord | None) -> DensityRecord:
-    cam, ts, d, norm = line.split(",")
-    rec = DensityRecord(cam, parse_rfc3339(ts), int(d), float(norm))
-    if rec.raw_density < 0 or not (math.isfinite(rec.normalized) and rec.normalized >= 0):
+def _trace_row(line: str, prev: int | None) -> tuple[int, float]:
+    _cam, ts, d, norm = line.split(",")
+    t, raw, value = int(parse_rfc3339(ts).timestamp()), int(d), float(norm)
+    if raw < 0 or not (math.isfinite(value) and value >= 0):
         raise ValueError("densities must be finite and >= 0")
-    if prev is not None and rec.captured_at <= prev.captured_at:
+    if prev is not None and t <= prev:
         raise ValueError("captured_at is not later than the row before")
-    return rec
+    return t, value
 
 
-def read_trace_csv(text: str) -> list[DensityRecord]:
-    """Parse a trace written by write_trace_csv: at least one row, each with
-    finite non-negative densities and later than the row before. A line
-    that breaks this raises ValueError naming its 1-based line number."""
+def read_trace_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a trace written by write_trace_csv into (capture times as int64
+    Unix seconds, normalized densities): at least one row, each with finite
+    non-negative densities and later than the row before. A line that breaks
+    this raises ValueError naming its 1-based line number."""
     lines = text.rstrip().splitlines()
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError("line 1: not a density trace CSV header")
     if len(lines) == 1:
         raise ValueError("line 2: bad trace row '' (the trace has no rows)")
-    out = []
+    rows = []
     for lineno, line in enumerate(lines[1:], 2):
         try:
-            out.append(_trace_row(line, out[-1] if out else None))
+            rows.append(_trace_row(line, rows[-1][0] if rows else None))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad trace row {line!r} ({exc})") from exc
-    return out
+    seconds, values = zip(*rows)
+    return np.array(seconds, dtype=np.int64), np.array(values, dtype=np.float64)

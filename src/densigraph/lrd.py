@@ -1,20 +1,19 @@
-"""Time-scale aggregation, Hurst estimation, and diurnal bucketing."""
+"""Time-scale aggregation, Hurst estimation, and diurnal bucketing, on numpy
+arrays: a trace is its capture times (int64 Unix seconds) and its values."""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
 from typing import Sequence
 
 import numpy as np
 
-from .density import DensityRecord
 from .errors import BlockTooLarge, DegenerateSeries, TooFewScales
 
 __all__ = [
-    "TimeSeries",
     "HurstEstimate",
     "aggregate_series",
     "variance_time_hurst",
@@ -24,21 +23,6 @@ __all__ = [
     "bucket_hourly",
     "resample_locf",
 ]
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    subject: str
-    t0: datetime
-    step: float  # seconds
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.values.size < 1 or not np.isfinite(self.values).all():
-            raise ValueError("values must be non-empty and finite")
 
 
 @dataclass(frozen=True)
@@ -61,16 +45,23 @@ class HurstEstimate:
         )
 
 
-def aggregate_series(series: TimeSeries, m: int) -> TimeSeries:
+def aggregate_series(values: np.ndarray, m: int) -> np.ndarray:
     """Non-overlapping block means of size m; trailing partial block dropped."""
-    n = series.values.size
+    n = values.size
     if m < 1 or m > n:
         raise BlockTooLarge(f"block size {m} vs length {n}")
     if m == 1:
-        return series
+        return values
     k = n // m
-    values = series.values[: k * m].reshape(k, m).mean(axis=1)
-    return TimeSeries(series.subject, series.t0, series.step * m, values)
+    return values[: k * m].reshape(k, m).mean(axis=1)
+
+
+def _series(values) -> np.ndarray:
+    """``values`` as a float64 array, refused unless non-empty and finite."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size < 1 or not np.isfinite(values).all():
+        raise DegenerateSeries("values must be non-empty and finite")
+    return values
 
 
 def _loglog_fit(points: list[tuple[float, float]]) -> tuple[float, float]:
@@ -94,10 +85,11 @@ def default_scales(n: int) -> list[int]:
     return scales
 
 
-def variance_time_hurst(series: TimeSeries, scales: Sequence[int] | None = None) -> HurstEstimate:
+def variance_time_hurst(values, scales: Sequence[int] | None = None) -> HurstEstimate:
     """H from the slope of log Var(aggregated) vs log block size: H = 1 + slope/2."""
-    n = series.values.size
-    if series.values.var() == 0:
+    values = _series(values)
+    n = values.size
+    if values.var() == 0:
         raise DegenerateSeries("zero-variance series")
     if scales is None:
         scales = default_scales(n)
@@ -107,7 +99,7 @@ def variance_time_hurst(series: TimeSeries, scales: Sequence[int] | None = None)
         raise TooFewScales(f"need >=3 scales with >=10 points, have {len(usable)}")
     points = []
     for m in usable:
-        var = aggregate_series(series, m).values.var(ddof=1)
+        var = aggregate_series(values, m).var(ddof=1)
         if var <= 0:
             raise DegenerateSeries(f"zero variance at scale {m}")
         points.append((math.log2(m), math.log2(var)))
@@ -137,9 +129,9 @@ def _rs_one_block(x: np.ndarray) -> float | None:
     return (z.max() - z.min()) / s
 
 
-def rs_hurst(series: TimeSeries, block_sizes: Sequence[int] | None = None) -> HurstEstimate:
+def rs_hurst(values, block_sizes: Sequence[int] | None = None) -> HurstEstimate:
     """Rescaled-range H: slope of log mean(R/S) vs log block size."""
-    values = series.values
+    values = _series(values)
     n = values.size
     if values.var() == 0:
         raise DegenerateSeries("zero-variance series")
@@ -172,52 +164,33 @@ def rs_hurst(series: TimeSeries, block_sizes: Sequence[int] | None = None) -> Hu
 
 
 def bucket_hourly(
-    records: Sequence[DensityRecord], tz_offset_hours: float = 0.0
+    seconds: np.ndarray, values: np.ndarray, tz_offset_hours: float = 0.0
 ) -> list[tuple[int, float, int]]:
-    """24 buckets of (local hour, mean normalized density, count)."""
-    if not records:
+    """24 buckets of (local hour, mean value, count) for values captured at
+    ``seconds`` (Unix seconds), with the offset rounded to the microsecond
+    as timedelta rounds it."""
+    if seconds.size == 0:
         raise ValueError("no records to bucket")
-    sums = [0.0] * 24
-    counts = [0] * 24
-    offset = timedelta(hours=tz_offset_hours)
-    for r in records:
-        hour = (r.captured_at.astimezone(timezone.utc) + offset).hour
-        sums[hour] += r.normalized
-        counts[hour] += 1
-    return [
-        (h, sums[h] / counts[h] if counts[h] else 0.0, counts[h]) for h in range(24)
-    ]
+    offset_us = timedelta(hours=tz_offset_hours) // timedelta(microseconds=1)
+    # microseconds per day and per hour; whole days of offset leave the hour alone
+    hours = (seconds * 1_000_000 + offset_us % 86_400_000_000) // 3_600_000_000 % 24
+    # bincount adds each hour's values in input order
+    sums = np.bincount(hours, weights=values, minlength=24).tolist()
+    counts = np.bincount(hours, minlength=24).tolist()
+    return [(h, sums[h] / counts[h] if counts[h] else 0.0, counts[h]) for h in range(24)]
 
 
 def resample_locf(
-    records: Sequence[DensityRecord],
-    step_seconds: float,
-) -> list[TimeSeries]:
-    """Snap density records onto a regular grid by last-observation-carried-
-    forward; gaps longer than 10 steps split the series."""
-    if not records:
+    seconds: np.ndarray, values: np.ndarray, step_seconds: float
+) -> list[np.ndarray]:
+    """Snap a trace (strictly increasing ``seconds``) onto a regular grid by
+    last-observation-carried-forward; gaps longer than 10 steps split it."""
+    if seconds.size == 0:
         return []
-    records = sorted(records, key=lambda r: r.captured_at)
-    out: list[TimeSeries] = []
-    seg_start = 0
-    for i in range(1, len(records) + 1):
-        gap = (
-            (records[i].captured_at - records[i - 1].captured_at).total_seconds()
-            if i < len(records)
-            else None
-        )
-        if gap is None or gap > 10.0 * step_seconds:
-            seg = records[seg_start:i]
-            t0 = seg[0].captured_at
-            span = (seg[-1].captured_at - t0).total_seconds()
-            n = int(span // step_seconds) + 1
-            values = np.empty(n)
-            j = 0
-            for k in range(n):
-                t = t0 + timedelta(seconds=k * step_seconds)
-                while j + 1 < len(seg) and seg[j + 1].captured_at <= t:
-                    j += 1
-                values[k] = seg[j].normalized
-            out.append(TimeSeries(seg[0].camera_id, t0, step_seconds, values))
-            seg_start = i
+    cuts = np.flatnonzero(np.diff(seconds) > 10.0 * step_seconds) + 1
+    out = []
+    for seg_seconds, seg_values in zip(np.split(seconds, cuts), np.split(values, cuts)):
+        n = int(float(seg_seconds[-1] - seg_seconds[0]) // step_seconds) + 1
+        grid = seg_seconds[0] + np.arange(n) * step_seconds
+        out.append(seg_values[np.searchsorted(seg_seconds, grid, side="right") - 1])
     return out

@@ -17,7 +17,6 @@ import numpy as np
 
 from .density import Frame
 from .errors import EmbeddingFailure, InvalidH, InvalidParams, InvalidSpec
-from .lrd import TimeSeries
 
 __all__ = [
     "VehicleEvent",
@@ -359,7 +358,7 @@ def fgn_autocov(H: float, k: np.ndarray) -> np.ndarray:
     )
 
 
-def gen_fgn(H: float, n: int, seed: int, subject: str | None = None) -> TimeSeries:
+def gen_fgn(H: float, n: int, seed: int) -> np.ndarray:
     """Exact unit-variance fractional Gaussian noise of length n.
 
     Circulant embedding: the covariance sequence is wrapped onto a circulant
@@ -393,10 +392,4 @@ def gen_fgn(H: float, n: int, seed: int, subject: str | None = None) -> TimeSeri
     amp = np.sqrt(lam[1:half] / (2 * m))
     v[1:half] = amp * (z_re + 1j * z_im)
     v[half + 1 :] = np.conj(v[1:half][::-1])
-    values = np.fft.fft(v).real[:n]
-    return TimeSeries(
-        subject=subject or f"fgn-H{H:g}",
-        t0=datetime(2024, 1, 1, tzinfo=timezone.utc),
-        step=1.0,
-        values=values,
-    )
+    return np.fft.fft(v).real[:n]

@@ -163,10 +163,16 @@ class TestExitCodes:
             ('{"cluster_k": 2.5}', "cluster_k"),
             ('{"seed": true}', "seed"),
             ('{"tau": true}', "tau"),
+            ('{"tz_offsets": {"c1": NaN}}', "c.json: tz_offsets: c1"),
+            ('{"tz_offsets": {"c1": Infinity}}', "c.json: tz_offsets: c1"),
+            ('{"tz_offsets": {"c1": 1e9}}', "c.json: tz_offsets: c1"),
+            ('{"tz_offsets": {"c1": 0, "c2": -24.5}}', "c.json: tz_offsets: c2"),
+            ('{"tz_offsets": {"c1": "east"}}', "c.json: tz_offsets: c1"),
         ],
         ids=[
             "tau-negative", "list", "tau-null", "tz-offsets-number", "window-z-inf", "torn-json",
-            "window-z-float", "cluster-k-float", "seed-bool", "tau-bool",
+            "window-z-float", "cluster-k-float", "seed-bool", "tau-bool", "tz-offset-nan",
+            "tz-offset-inf", "tz-offset-huge", "tz-offset-below-minus-24", "tz-offset-text",
         ],
     )
     def test_bad_config_file_value(self, tmp_path, capsys, text, named):
@@ -795,6 +801,110 @@ class TestCorruptInputs:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert str(labels) in err and "Traceback" not in err
+
+
+def write_trace(root, city, camera_id, values, step=60):
+    """A density trace CSV of ``values``, one row every ``step`` seconds."""
+    t0 = datetime(2024, 3, 1, 6, tzinfo=timezone.utc)
+    lines = ["camera_id,captured_at,raw_density,normalized"]
+    for i, v in enumerate(values):
+        t = ingestion.format_rfc3339(t0 + timedelta(seconds=i * step))
+        lines.append(f"{camera_id},{t},{round(v * 1e6)},{v:.6f}")
+    path = root / city / "density" / f"{camera_id}.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def stats_stages(root, city):
+    for stage in ("fit", "lrd", "report"):
+        run_ok("--set", f"data_root={root}", stage, "--city", city)
+
+
+def test_stats_stages_read_traces_in_camera_id_order(tmp_path):
+    # "cam-1.csv" sorts before "cam.csv" as a path, but "cam" before "cam-1" as an id
+    for camera_id in ("cam-1", "cam0", "cam"):
+        write_trace(tmp_path, "c", camera_id, [0.1, 0.2])
+    traces = cli._read_city_traces(Config(data_root=tmp_path), "c")
+    assert list(traces) == ["cam", "cam-1", "cam0"]
+    assert [s for s, _ in cli._subjects("c", traces)] == ["cam", "cam-1", "cam0", "c"]
+
+
+class TestStaleOutputs:
+    def test_lrd_removes_estimates_it_did_not_write(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        write_trace(tmp_path, "c", "cam1", rng.random(2000))
+        run_ok("--set", f"data_root={tmp_path}", "lrd", "--city", "c")
+        lrd_dir = tmp_path / "c" / "lrd"
+        assert {p.name for p in lrd_dir.glob("*.json")} == {
+            "cam1.rs.json", "cam1.variance_time.json",
+        }
+        write_trace(tmp_path, "c", "cam1", rng.random(40))
+        capsys.readouterr()
+        run_ok("--set", f"data_root={tmp_path}", "lrd", "--city", "c")
+        err = capsys.readouterr().err
+        assert "cam1 rs:" in err and "cam1 variance_time:" in err  # both failed, logged
+        assert list(lrd_dir.glob("*.json")) == []
+        assert (lrd_dir / "hourly.csv").exists()
+
+    def test_deleted_trace_leaves_no_fits_estimates_or_cdf(self, tmp_path):
+        rng = np.random.default_rng(12)
+        write_trace(tmp_path, "c", "cam1", rng.random(2000))
+        cam2 = write_trace(tmp_path, "c", "cam2", 5 * rng.random(2000))
+        stats_stages(tmp_path, "c")
+        city = tmp_path / "c"
+        assert (city / "report" / "cdf_cam2.csv").exists()
+        cam2.unlink()
+        stats_stages(tmp_path, "c")
+        summary = json.loads((city / "report" / "summary.json").read_text())
+        assert set(summary["fits"]) == {"cam1", "c"}
+        assert set(summary["hurst"]) == {"cam1.rs", "cam1.variance_time"}
+        leftovers = [
+            p.relative_to(city) for p in city.rglob("*cam2*") if p.parent.name != "density"
+        ]
+        assert leftovers == []
+        # the city's CDF spans the pooled sample, now cam1's alone (< 1)
+        xs = [float(line.split(",")[0]) for line in (city / "report" / "cdf_c.csv").read_text().splitlines()[1:]]
+        assert max(xs) < 1.0
+
+
+class TestUnreadableStatsJson:
+    @pytest.fixture()
+    def stats_root(self, tmp_path):
+        write_trace(tmp_path, "c", "cam1", np.random.default_rng(13).random(2000))
+        for stage in ("fit", "lrd"):
+            run_ok("--set", f"data_root={tmp_path}", stage, "--city", "c")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("fits/cam1.json", '{"subject": '),
+            ("fits/c.json", '{"subject": "c"}'),
+            ("fits/cam1.json", '{"candidates": [{"family": "gamma", "params": {}}]}'),
+            ("fits/cam1.json", '{"candidates": [{"family": "gamma", "params": {"shape": "x", "scale": 1}}]}'),
+            ("fits/cam1.json", '{"candidates": [{"family": "cauchy", "params": {}}]}'),
+            ("fits/cam1.json", '{"candidates": 7}'),
+            ("fits/cam1.json", "[]"),
+            ("lrd/cam1.rs.json", '{"H": '),
+            ("fits/cam1.json", None),
+        ],
+        ids=[
+            "torn", "no-candidates", "missing-param", "param-not-a-number", "unknown-family",
+            "candidates-not-a-list", "not-an-object", "torn-hurst", "missing-file",
+        ],
+    )
+    def test_report_exits_2_naming_the_file(self, stats_root, capsys, name, text):
+        path = stats_root / "c" / name
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
+        capsys.readouterr()
+        assert run(["--set", f"data_root={stats_root}", "report", "--city", "c"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not (stats_root / "c" / "report").exists()
 
 
 class TestLowConfidence:

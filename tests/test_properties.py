@@ -7,7 +7,7 @@ import pytest
 
 from densigraph import ingestion, kernels, synth
 from densigraph.density import build_background
-from densigraph.lrd import TimeSeries, aggregate_series
+from densigraph.lrd import aggregate_series
 from densigraph.quality import (
     OUTLIER,
     REGULAR,
@@ -79,25 +79,20 @@ def test_aggregate_mean_preservation():
         n = int(rng.integers(5, 200))
         m = int(rng.integers(1, n + 1))
         v = rng.normal(size=n)
-        s = TimeSeries("s", __import__("datetime").datetime(2024, 1, 1, tzinfo=__import__("datetime").timezone.utc), 1.0, v)
-        out = aggregate_series(s, m)
+        out = aggregate_series(v, m)
         k = n // m
-        assert out.values.mean() == pytest.approx(v[: k * m].mean(), abs=1e-12)
+        assert out.mean() == pytest.approx(v[: k * m].mean(), abs=1e-12)
 
 
 def test_aggregate_composition():
-    import datetime as dt
-
     rng = np.random.default_rng(105)
-    t0 = dt.datetime(2024, 1, 1, tzinfo=dt.timezone.utc)
     for _ in range(N_CASES):
         a = int(rng.integers(1, 6))
         b = int(rng.integers(1, 6))
         blocks = int(rng.integers(1, 20))
         v = rng.normal(size=a * b * blocks)
-        s = TimeSeries("s", t0, 1.0, v)
-        lhs = aggregate_series(aggregate_series(s, a), b).values
-        rhs = aggregate_series(s, a * b).values
+        lhs = aggregate_series(aggregate_series(v, a), b)
+        rhs = aggregate_series(v, a * b)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -234,12 +229,9 @@ def test_standardization_round_trip():
 
 
 def test_iid_variance_scaling_null():
-    import datetime as dt
-
     rng = np.random.default_rng(110)
     v = rng.standard_normal(50_000)
-    s = TimeSeries("s", dt.datetime(2024, 1, 1, tzinfo=dt.timezone.utc), 1.0, v)
     base = v.var(ddof=1)
     for m in (4, 16, 64):
-        scaled = aggregate_series(s, m).values.var(ddof=1) * m
+        scaled = aggregate_series(v, m).var(ddof=1) * m
         assert scaled == pytest.approx(base, rel=0.2)

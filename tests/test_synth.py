@@ -169,23 +169,23 @@ class TestSampleDistribution:
 
 class TestGenFgn:
     def test_h_half_lag1_near_zero(self):
-        v = synth.gen_fgn(0.5, 100_000, 21).values
+        v = synth.gen_fgn(0.5, 100_000, 21)
         lag1 = np.corrcoef(v[:-1], v[1:])[0, 1]
         assert abs(lag1) <= 3 / math.sqrt(100_000)
 
     def test_h08_lag1_analytic(self):
         # analytic gamma(1) = (2^1.6 - 2) / 2
-        v = synth.gen_fgn(0.8, 100_000, 22).values
+        v = synth.gen_fgn(0.8, 100_000, 22)
         lag1 = np.corrcoef(v[:-1], v[1:])[0, 1]
         assert lag1 == pytest.approx((2**1.6 - 2) / 2, abs=0.02)
 
     def test_deterministic(self):
-        a = synth.gen_fgn(0.7, 1000, 5).values
-        b = synth.gen_fgn(0.7, 1000, 5).values
+        a = synth.gen_fgn(0.7, 1000, 5)
+        b = synth.gen_fgn(0.7, 1000, 5)
         np.testing.assert_array_equal(a, b)
 
     def test_unit_variance(self):
-        v = synth.gen_fgn(0.7, 100_000, 23).values
+        v = synth.gen_fgn(0.7, 100_000, 23)
         assert abs(v.var() - 1.0) < 0.05
 
     def test_invalid_h(self):
