@@ -39,7 +39,7 @@ import numpy as np
 
 from . import density as density_mod
 from . import ingestion, lrd, quality, synth
-from .errors import CorruptLabels, CorruptTrace, DensigraphError, InvalidSpec
+from .errors import CorruptLabels, CorruptTrace, DensigraphError, InvalidParams, InvalidSpec
 from .pgmio import decode_image, write_p5
 
 USAGE_ERROR = 1
@@ -322,8 +322,8 @@ def cmd_clean(cfg: Config, args) -> int:
     labels = _read_labels(args.labels) if args.labels else None
     # relative_path -> removal reason (None: kept), in scan_manifest order
     reasons: dict[str, str | None] = {}
-    # kept frames' features, computed only for the cluster model
-    features: dict[str, quality.ImageFeatures] = {}
+    # kept frames' feature rows, computed only for the cluster model
+    features: dict[str, np.ndarray] = {}
     for rec in _stored_records(cfg, args.city):
         path, reason = rec.relative_path, None
         if rec.status == "failed":
@@ -340,24 +340,24 @@ def cmd_clean(cfg: Config, args) -> int:
         reasons[path] = reason
 
     if labels is not None:
-        pairs = []
-        for i, (path, label) in enumerate(labels):
+        for i, (path, _) in enumerate(labels):
             if path not in features:
                 why = f"removed as {reasons[path]}" if path in reasons else "not in the manifest"
                 raise CorruptLabels(
                     f"{args.labels}: entry {i}: relative_path {path!r} is {why}; "
                     "only frames that clean keeps can be labeled"
                 )
-            pairs.append((features[path], label))
         try:
-            labeled = quality.LabeledSet(tuple(pairs))
+            labeled = quality.LabeledSet(
+                np.array([features[path] for path, _ in labels]),
+                tuple(label for _, label in labels),
+            )
         except ValueError as exc:
             raise CorruptLabels(f"{args.labels}: {exc}") from exc
-        model = quality.fit_clusters(
-            list(features.values()), labeled, k=cfg.cluster_k, seed=cfg.seed
-        )
-        for path, feats in features.items():
-            if quality.classify(model, feats) == quality.OUTLIER:
+        rows = np.array(list(features.values()))
+        model = quality.fit_clusters(rows, labeled, k=cfg.cluster_k, seed=cfg.seed)
+        for path, label in zip(features, quality.classify(model, rows)):
+            if label == quality.OUTLIER:
                 reasons[path] = "ClusterOutlier"
 
     removed = [f"{path},{reason}" for path, reason in reasons.items() if reason]
@@ -433,11 +433,12 @@ def _remove_unwritten(folder: Path, pattern: str, written: set[Path]) -> None:
 @contextmanager
 def _stats_json(path: Path) -> Iterator:
     """Parse a fits/ or lrd/ JSON file for the with-block: bad JSON, or a key or
-    value the block cannot use, is a data error naming the file."""
+    value the block cannot use (params outside their family's domain too), is
+    a data error naming the file."""
     text = path.read_text()
     try:
         yield json.loads(text)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, InvalidParams) as exc:
         raise DensigraphError(f"{path}: unusable: {type(exc).__name__}: {exc}") from exc
 
 

@@ -11,8 +11,7 @@ import hashlib
 import json
 import math
 import re
-import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, time, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -44,6 +43,10 @@ FETCH_MARGIN = 0.9  # poll a little faster than the camera refreshes
 DEFAULT_WINDOW = (time(6, 0), time(18, 0))
 
 
+# '/', '\\', ',' and the control characters (Unicode category Cc)
+_UNSAFE_ID_CHAR = re.compile(r"[/\\,\x00-\x1f\x7f-\x9f]")
+
+
 def check_id(kind: str, value) -> None:
     """Raise ValueError unless value is safe as a camera id or city name.
 
@@ -54,7 +57,7 @@ def check_id(kind: str, value) -> None:
     if (
         not isinstance(value, str)
         or value in ("", ".", "..")
-        or any(ch in "/\\," or unicodedata.category(ch) == "Cc" for ch in value)
+        or _UNSAFE_ID_CHAR.search(value)
     ):
         raise ValueError(
             f"{kind} {value!r} must be a non-empty name other than '.' or '..'"
@@ -91,29 +94,21 @@ class ManifestRecord:
     status: str  # stored | duplicate | failed
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "camera_id": self.camera_id,
-                "captured_at": format_rfc3339(self.captured_at),
-                "relative_path": self.relative_path,
-                "byte_size": self.byte_size,
-                "content_hash": self.content_hash,
-                "status": self.status,
-            },
-            sort_keys=True,
-        )
+        obj = {name: getattr(self, name) for name in _RECORD_FIELDS}
+        obj["captured_at"] = format_rfc3339(self.captured_at)
+        return json.dumps(obj, sort_keys=True)
 
     @staticmethod
     def from_json(line: str) -> "ManifestRecord":
+        """The record of one manifest line; keys that are not fields are ignored."""
         obj = json.loads(line)
-        return ManifestRecord(
-            camera_id=obj["camera_id"],
-            captured_at=parse_rfc3339(obj["captured_at"]),
-            relative_path=obj["relative_path"],
-            byte_size=obj["byte_size"],
-            content_hash=obj["content_hash"],
-            status=obj["status"],
-        )
+        obj["captured_at"] = parse_rfc3339(obj["captured_at"])
+        return ManifestRecord(*[obj[name] for name in _RECORD_FIELDS])
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(ManifestRecord))
+STATUSES = ("stored", "duplicate", "failed")
+EXTENSIONS = ("pgm", "png", "jpg", "bin")  # every extension sniff_extension gives
 
 
 RFC3339 = "%Y-%m-%dT%H:%M:%SZ"  # the one timestamp format of manifests and traces
@@ -166,9 +161,10 @@ def _whole_second(ts: datetime) -> datetime:
     return ts.astimezone(timezone.utc).replace(microsecond=0)
 
 
-def layout_path(camera: CameraMeta, captured_at: datetime, ext: str) -> str:
+def layout_path(city: str, camera_id: str, captured_at: datetime, ext: str) -> str:
     ts = captured_at.astimezone(timezone.utc)
-    return f"{camera.city}/{camera.camera_id}/{ts:%Y%m%d}/{ts:%H%M%S}.{ext}"
+    day = "%04d%02d%02d/%02d%02d%02d" % (ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second)
+    return f"{city}/{camera_id}/{day}.{ext}"
 
 
 class FrameStore:
@@ -208,26 +204,20 @@ class FrameStore:
                 f"{camera.camera_id}: {captured_at} is not in a later second "
                 f"than the last stored {last}"
             )
-        rel = layout_path(camera, captured_at, sniff_extension(data))
-        if not data:
-            record = ManifestRecord(camera.camera_id, captured_at, rel, 0, "", "failed")
-        else:
+        rel = layout_path(camera.city, camera.camera_id, captured_at, sniff_extension(data))
+        status, digest = "failed", ""
+        if data:
             dup, digest = dedup_check(data, self._last_hash.get(key))
-            if dup:
-                record = ManifestRecord(
-                    camera.camera_id, captured_at, rel, len(data), digest, "duplicate"
-                )
-            else:
-                path = self.root / rel
-                try:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    path.write_bytes(data)
-                except OSError as exc:
-                    raise StorageFull(str(exc)) from exc
-                self._last_hash[key] = digest
-                record = ManifestRecord(
-                    camera.camera_id, captured_at, rel, len(data), digest, "stored"
-                )
+            status = "duplicate" if dup else "stored"
+        if status == "stored":
+            path = self.root / rel
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(data)
+            except OSError as exc:
+                raise StorageFull(str(exc)) from exc
+            self._last_hash[key] = digest
+        record = ManifestRecord(camera.camera_id, captured_at, rel, len(data), digest, status)
         self._append_manifest(camera.city, record)
         self._last_ts[key] = captured_at
         return record
@@ -250,12 +240,28 @@ def read_utf8(path: str | Path, error: type[Exception]) -> str:
         raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
+def _check_record(rec: ManifestRecord, city: str) -> None:
+    """Raise ValueError unless rec is a record FrameStore could write for city."""
+    check_id("camera_id", rec.camera_id)
+    if rec.status not in STATUSES:
+        raise ValueError(f"status {rec.status!r} is not one of {', '.join(STATUSES)}")
+    if type(rec.byte_size) is not int or rec.byte_size < 0:
+        raise ValueError(f"byte_size {rec.byte_size!r} is not a non-negative integer")
+    path = rec.relative_path
+    ext = path.rpartition(".")[2] if isinstance(path, str) else None
+    if ext not in EXTENSIONS or path != layout_path(city, rec.camera_id, rec.captured_at, ext):
+        raise ValueError(
+            f"relative_path {path!r} is not the layout path of its city, camera and captured_at"
+        )
+
+
 def scan_manifest(root: str | Path, city: str) -> list[ManifestRecord]:
     """All manifest records of one city, sorted by (camera_id, captured_at).
     Duplicates and failures are included; a city without a manifest has none.
 
-    A line that is not a well-formed record raises CorruptManifest naming
-    the manifest and the line.
+    A line that is not a well-formed record, or whose camera_id, status,
+    byte_size or relative_path FrameStore would not write, raises
+    CorruptManifest naming the manifest and the line.
     """
     root = Path(root)
     if not root.exists():
@@ -270,6 +276,7 @@ def scan_manifest(root: str | Path, city: str) -> list[ManifestRecord]:
             continue
         try:
             rec = ManifestRecord.from_json(line)
+            _check_record(rec, city)
         except (ValueError, KeyError, TypeError) as exc:
             # ValueError covers bad JSON and bad timestamps; KeyError a
             # missing field; TypeError a line that is not a JSON object

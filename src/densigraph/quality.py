@@ -10,7 +10,6 @@ it computes any feature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .errors import DegenerateFeatures, TooFewPoints
 __all__ = [
     "REGULAR",
     "OUTLIER",
-    "ImageFeatures",
+    "FEATURES",
     "LabeledSet",
     "ClusterModel",
     "extract_features",
@@ -30,57 +29,31 @@ __all__ = [
 REGULAR = "regular"
 OUTLIER = "outlier"
 
+# the columns of a feature row
+FEATURES = ("byte_size", "width", "height", "mean_intensity", "intensity_variance", "edge_density")
+
 EDGE_STEP = 16  # horizontal-neighbor intensity jump that counts as an edge
 
 
 @dataclass(frozen=True)
-class ImageFeatures:
-    byte_size: int
-    width: int
-    height: int
-    mean_intensity: float
-    intensity_variance: float
-    edge_density: float
-
-    def vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.byte_size,
-                self.width,
-                self.height,
-                self.mean_intensity,
-                self.intensity_variance,
-                self.edge_density,
-            ],
-            dtype=np.float64,
-        )
-
-
-@dataclass(frozen=True)
 class LabeledSet:
-    points: tuple[tuple[ImageFeatures, str], ...]
+    features: np.ndarray  # (m, len(FEATURES))
+    labels: tuple[str, ...]
 
     def __post_init__(self):
-        labels = {label for _, label in self.points}
+        labels = set(self.labels)
         if not labels <= {REGULAR, OUTLIER}:
             raise ValueError(f"unknown labels {labels - {REGULAR, OUTLIER}}")
         if labels != {REGULAR, OUTLIER}:
             raise ValueError("labeled set needs at least one point of each label")
 
 
-def extract_features(img: np.ndarray, byte_size: int) -> ImageFeatures:
-    """Features of a decoded frame whose file holds byte_size bytes."""
+def extract_features(img: np.ndarray, byte_size: int) -> np.ndarray:
+    """Feature row of a decoded frame whose file holds byte_size bytes."""
     h, w = img.shape
     diffs = np.abs(np.diff(img.astype(np.int16), axis=1))
-    edge = float((diffs > EDGE_STEP).mean()) if w > 1 else 0.0
-    return ImageFeatures(
-        byte_size=byte_size,
-        width=w,
-        height=h,
-        mean_intensity=float(img.mean()),
-        intensity_variance=float(img.var()),
-        edge_density=edge,
-    )
+    edge = (diffs > EDGE_STEP).mean() if w > 1 else 0.0
+    return np.array([byte_size, w, h, img.mean(), img.var(), edge], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -91,8 +64,9 @@ class ClusterModel:
     feature_std: np.ndarray
     kept_dims: tuple[int, ...]
 
-    def standardize(self, vec: np.ndarray) -> np.ndarray:
-        v = np.asarray(vec, dtype=np.float64)[list(self.kept_dims)]
+    def standardize(self, rows: np.ndarray) -> np.ndarray:
+        """Standardize a feature row, or each row of a matrix."""
+        v = np.asarray(rows, dtype=np.float64)[..., list(self.kept_dims)]
         return (v - self.feature_mean) / self.feature_std
 
 
@@ -110,22 +84,15 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return np.array(centroids)
 
 
-def fit_clusters(
-    unlabeled: Sequence[ImageFeatures],
-    labeled: LabeledSet,
-    k: int,
-    seed: int,
-) -> ClusterModel:
-    """Standardized k-means over unlabeled+labeled points; clusters take the
-    majority label of the labeled points they contain, empty or tied
-    clusters inherit from the nearest labeled centroid."""
+def fit_clusters(unlabeled: np.ndarray, labeled: LabeledSet, k: int, seed: int) -> ClusterModel:
+    """Standardized k-means over the unlabeled rows and the labeled ones;
+    clusters take the majority label of the labeled points they contain,
+    empty or tied clusters the label of the nearest labeled point."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if len(unlabeled) < k:
         raise TooFewPoints(f"{len(unlabeled)} unlabeled points for k={k}")
-    raw = np.array(
-        [f.vector() for f in unlabeled] + [f.vector() for f, _ in labeled.points]
-    )
+    raw = np.concatenate([np.asarray(unlabeled, dtype=np.float64), labeled.features])
     std = raw.std(axis=0)
     kept = tuple(int(i) for i in np.nonzero(std > 0)[0])
     if not kept:
@@ -150,25 +117,18 @@ def fit_clusters(
             break
 
     # label propagation from the labeled tail of `points`
-    n_unlabeled = len(unlabeled)
-    labeled_assign = assign[n_unlabeled:]
-    labeled_points = points[n_unlabeled:]
-    label_names = [label for _, label in labeled.points]
-    cluster_labels: list[str | None] = []
+    labeled_assign = assign[len(unlabeled):]
+    labeled_points = points[len(unlabeled):]
+    is_outlier = np.array([label == OUTLIER for label in labeled.labels])
+    n_out = np.bincount(labeled_assign[is_outlier], minlength=k)
+    n_reg = np.bincount(labeled_assign[~is_outlier], minlength=k)
+    cluster_labels = []
     for j in range(k):
-        votes = [label_names[i] for i in range(len(label_names)) if labeled_assign[i] == j]
-        n_reg = votes.count(REGULAR)
-        n_out = votes.count(OUTLIER)
-        if n_reg > n_out:
-            cluster_labels.append(REGULAR)
-        elif n_out > n_reg:
-            cluster_labels.append(OUTLIER)
-        else:
-            cluster_labels.append(None)  # tie or empty
-    for j in range(k):
-        if cluster_labels[j] is None:
+        if n_reg[j] != n_out[j]:
+            cluster_labels.append(REGULAR if n_reg[j] > n_out[j] else OUTLIER)
+        else:  # tie or empty
             d = ((labeled_points - centroids[j]) ** 2).sum(axis=1)
-            cluster_labels[j] = label_names[int(d.argmin())]
+            cluster_labels.append(labeled.labels[int(d.argmin())])
 
     return ClusterModel(
         centroids=centroids,
@@ -179,10 +139,12 @@ def fit_clusters(
     )
 
 
-def classify(model: ClusterModel, features: ImageFeatures) -> str:
-    """Label of the nearest centroid; exact ties break to the
-    lexicographically-first label, then lowest centroid index."""
-    p = model.standardize(features.vector())
-    d2 = ((model.centroids - p) ** 2).sum(axis=1)
-    best = min(range(len(d2)), key=lambda j: (d2[j], model.cluster_labels[j], j))
-    return model.cluster_labels[best]
+def classify(model: ClusterModel, rows: np.ndarray) -> list[str]:
+    """Label of each row's nearest centroid; exact ties break to the
+    lexicographically-first label, then the lowest centroid index."""
+    p = model.standardize(np.atleast_2d(rows))
+    d2 = ((p[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
+    # argmin keeps the first of equal minima, so scan the centroids in
+    # (label, index) order
+    order = sorted(range(len(model.cluster_labels)), key=lambda j: (model.cluster_labels[j], j))
+    return [model.cluster_labels[order[i]] for i in d2[:, order].argmin(axis=1)]

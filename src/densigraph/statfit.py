@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     AllFitsFailed,
     DegenerateSample,
+    InvalidParams,
     NoConvergence,
     NonPositiveSample,
 )
@@ -338,9 +339,29 @@ def fit_family(family: str, sample) -> dict:
     return _FITTERS[family](sample)
 
 
+_PARAMS = {
+    "exponential": ("rate",),
+    "gamma": ("shape", "scale"),
+    "loglogistic": ("scale", "shape"),
+    "normal": ("mu", "sigma"),
+    "weibull": ("shape", "scale"),
+}
+
+
 def cdf_eval(family: str, params: dict, x) -> np.ndarray | float:
     """Closed-form CDFs; normal via erf, gamma via the regularized lower
-    incomplete gamma, both defined in this module."""
+    incomplete gamma, both defined in this module.
+
+    Raises InvalidParams unless every param is finite, and positive except
+    the normal's mu.
+    """
+    if family not in _PARAMS:
+        raise ValueError(f"unknown family {family!r}")
+    for name in _PARAMS[family]:
+        value = params[name]
+        if not (math.isfinite(value) and (value > 0 or name == "mu")):
+            need = "finite" if name == "mu" else "finite and positive"
+            raise InvalidParams(f"{family} {name} = {value!r}: must be {need}")
     xv = np.asarray(x, dtype=np.float64)
     if family == "exponential":
         out = np.where(xv <= 0, 0.0, -np.expm1(-params["rate"] * np.maximum(xv, 0)))
@@ -360,8 +381,6 @@ def cdf_eval(family: str, params: dict, x) -> np.ndarray | float:
         with np.errstate(divide="ignore", over="ignore"):
             ratio = np.where(xv <= 0, np.inf, (params["scale"] / np.maximum(xv, 1e-300)) ** params["shape"])
         out = np.where(xv <= 0, 0.0, 1.0 / (1.0 + ratio))
-    else:
-        raise ValueError(f"unknown family {family!r}")
     return float(out) if np.isscalar(x) else out
 
 
@@ -451,7 +470,7 @@ def rank_fits(sample, families: Sequence[str] = FAMILIES, subject: str = "") -> 
         try:
             params = fit_family(family, data)
             ks = ks_statistic(data, family, params)
-        except (NonPositiveSample, DegenerateSample, NoConvergence) as exc:
+        except (NonPositiveSample, DegenerateSample, NoConvergence, InvalidParams) as exc:
             failed[family] = f"{type(exc).__name__}: {exc}"
             continue
         fits.append(FittedDistribution(family, params, int(data.size), ks))

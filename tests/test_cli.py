@@ -589,6 +589,27 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert f"{manifest}:151:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "changes",
+        [{"camera_id": "../../escaped"}, {"relative_path": "../outside.pgm"}, {"status": "weird"}],
+        ids=["unsafe_camera_id", "path_outside_root", "unknown_status"],
+    )
+    @pytest.mark.parametrize("stage", ["clean", "density"])
+    def test_edited_manifest_record_is_data_error(self, tmp_path, capsys, stage, changes):
+        root = tmp_path / "data"
+        store_city(root, {"cam1": [write_p5(a) for a in random_frames(6, 12)]})
+        manifest = root / "testcity" / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        lines[-1] = json.dumps({**json.loads(lines[-1]), **changes})
+        manifest.write_text("\n".join(lines) + "\n")
+        (tmp_path / "outside.pgm").write_bytes(write_p5(np.full((8, 8), 255, dtype=np.uint8)))
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["--set", f"data_root={root}", "--set", "window_z=5", stage, "--city", "testcity"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:12:" in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("stage", ["synth", "density"])
     def test_manifest_line_not_utf8_is_data_error(self, corpus, tmp_path, capsys, stage):
         manifest = corpus / "sydney" / "manifest.jsonl"
@@ -888,10 +909,14 @@ class TestUnreadableStatsJson:
             ("fits/cam1.json", "[]"),
             ("lrd/cam1.rs.json", '{"H": '),
             ("fits/cam1.json", None),
+            ("fits/cam1.json", '{"candidates": [{"family": "exponential", "params": {"rate": -3}}]}'),
+            ("fits/cam1.json", '{"candidates": [{"family": "normal", "params": {"mu": 0, "sigma": 0}}]}'),
+            ("fits/cam1.json", '{"candidates": [{"family": "weibull", "params": {"shape": NaN, "scale": 1}}]}'),
         ],
         ids=[
             "torn", "no-candidates", "missing-param", "param-not-a-number", "unknown-family",
             "candidates-not-a-list", "not-an-object", "torn-hurst", "missing-file",
+            "rate-negative", "sigma-zero", "shape-nan",
         ],
     )
     def test_report_exits_2_naming_the_file(self, stats_root, capsys, name, text):

@@ -190,6 +190,21 @@ class TestCameraIds:
         assert not any(tmp_path.rglob("*.bin"))
 
 
+def record_line(**changes):
+    """A manifest line FrameStore could write for sydney's syd-001 at
+    10:00:01, with changes applied."""
+    obj = {
+        "camera_id": "syd-001",
+        "captured_at": "2024-03-01T10:00:01Z",
+        "relative_path": "sydney/syd-001/20240301/100001.pgm",
+        "byte_size": 1,
+        "content_hash": "h",
+        "status": "stored",
+    }
+    obj.update(changes)
+    return json.dumps(obj)
+
+
 class TestScanManifest:
     def test_empty_root(self, tmp_path):
         assert scan_manifest(tmp_path, city="sydney") == []
@@ -244,8 +259,26 @@ class TestScanManifest:
             '{"camera_id": "syd-001", "relative_path": "p", "byte_size": 1, '
             '"content_hash": "h", "status": "stored"}',  # no captured_at
             "[1, 2, 3]",
+            record_line(
+                camera_id="../../escaped",
+                relative_path="sydney/../../escaped/20240301/100001.pgm",
+            ),
+            record_line(relative_path="../outside.pgm"),
+            record_line(relative_path="sydney/syd-002/20240301/100001.pgm"),
+            record_line(relative_path="sydney/syd-001/20240301/100002.pgm"),
+            record_line(relative_path="sydney/syd-001/20240301/100001.exe"),
+            record_line(relative_path=7),
+            record_line(status="weird"),
+            record_line(byte_size=-1),
+            record_line(byte_size=1.5),
+            record_line(byte_size="1"),
         ],
-        ids=["torn", "bad_captured_at", "missing_key", "not_an_object"],
+        ids=[
+            "torn", "bad_captured_at", "missing_key", "not_an_object", "unsafe_camera_id",
+            "path_outside_root", "path_of_other_camera", "path_of_other_time",
+            "unknown_extension", "path_not_a_string", "unknown_status", "negative_byte_size",
+            "fractional_byte_size", "byte_size_not_a_number",
+        ],
     )
     def test_corrupt_line_names_path_and_line(self, tmp_path, bad_line):
         store = FrameStore(tmp_path)
@@ -255,6 +288,16 @@ class TestScanManifest:
             fh.write(bad_line + "\n")
         with pytest.raises(CorruptManifest, match=re.escape(f"{manifest}:2: ")):
             scan_manifest(tmp_path, city="sydney")
+
+    def test_unchanged_record_line_is_read(self, tmp_path):
+        # the lines above are refused for their one change, not for their
+        # base; a key that is not a field is ignored
+        (tmp_path / "sydney").mkdir()
+        (tmp_path / "sydney" / "manifest.jsonl").write_text(record_line(note="x") + "\n")
+        [rec] = scan_manifest(tmp_path, city="sydney")
+        assert (rec.camera_id, rec.relative_path, rec.byte_size, rec.status) == (
+            "syd-001", "sydney/syd-001/20240301/100001.pgm", 1, "stored"
+        )
 
 
 class TestRfc3339:

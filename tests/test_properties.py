@@ -8,13 +8,7 @@ import pytest
 from densigraph import ingestion, kernels, synth
 from densigraph.density import build_background
 from densigraph.lrd import aggregate_series
-from densigraph.quality import (
-    OUTLIER,
-    REGULAR,
-    ImageFeatures,
-    LabeledSet,
-    fit_clusters,
-)
+from densigraph.quality import OUTLIER, REGULAR, ClusterModel, classify, fit_clusters
 from densigraph.pgmio import write_p5
 from densigraph.statfit import cdf_eval, fit_family, ks_statistic
 
@@ -166,7 +160,9 @@ def test_ks_probability_integral_transform_invariance():
 
 
 def _random_features(rng):
-    return ImageFeatures(
+    from test_quality import feat
+
+    return feat(
         byte_size=int(rng.integers(0, 5000)),
         width=10,
         height=10,
@@ -214,18 +210,55 @@ def test_clean_trace_partitions_input(tmp_path):
 
 def test_standardization_round_trip():
     rng = np.random.default_rng(109)
-    from test_quality import two_blob_features
+    from test_quality import labeled_set, two_blob_features
 
     reg, out = two_blob_features(50, 8, seed=14)
-    labeled = LabeledSet(((reg[0], REGULAR), (out[0], OUTLIER)))
+    labeled = labeled_set((reg[0], REGULAR), (out[0], OUTLIER))
     model = fit_clusters(reg + out, labeled, k=3, seed=2)
     for _ in range(N_CASES):
         f = _random_features(rng)
-        u = model.standardize(f.vector())
+        u = model.standardize(f)
         # un-standardize and re-standardize: exact round trip
         raw = model.feature_mean + model.feature_std * u
         again = (raw - model.feature_mean) / model.feature_std
         np.testing.assert_allclose(again, u, atol=1e-12)
+
+
+def test_classify_matrix_equals_row_by_row():
+    """classify over a matrix gives each row the label that classifying it
+    alone gives, and that the nearest-centroid rule with ties broken by
+    (label, index) gives, also for rows equidistant from an outlier and a
+    regular centroid."""
+    rng = np.random.default_rng(111)
+    ties = 0
+    for _ in range(N_CASES):
+        k = int(rng.integers(2, 6))
+        labels = [REGULAR, OUTLIER] + [str(rng.choice([REGULAR, OUTLIER])) for _ in range(k - 2)]
+        labels = [labels[j] for j in rng.permutation(k)]
+        kept = tuple(sorted(int(d) for d in rng.choice(6, int(rng.integers(1, 7)), replace=False)))
+        dims = len(kept)
+        # integer centroids, unit scale: midpoints are exact, so ties are exact
+        model = ClusterModel(
+            centroids=rng.integers(-4, 5, (k, dims)).astype(np.float64),
+            cluster_labels=tuple(labels),
+            feature_mean=np.zeros(dims),
+            feature_std=np.ones(dims),
+            kept_dims=kept,
+        )
+        rows = rng.uniform(-5, 5, (int(rng.integers(1, 8)), 6))
+        o, r = labels.index(OUTLIER), labels.index(REGULAR)
+        for _ in range(int(rng.integers(1, 4))):
+            row = rng.uniform(-5, 5, 6)
+            row[list(kept)] = (model.centroids[o] + model.centroids[r]) / 2
+            rows = np.insert(rows, int(rng.integers(len(rows) + 1)), row, axis=0)
+        expected = []
+        for row in rows:
+            d2 = ((row[list(kept)] - model.centroids) ** 2).sum(axis=1)
+            ties += int((d2 == d2.min()).sum() > 1)
+            expected.append(labels[min(range(k), key=lambda j: (d2[j], labels[j], j))])
+        assert classify(model, rows) == expected
+        assert [classify(model, row)[0] for row in rows] == expected
+    assert ties > N_CASES
 
 
 def test_iid_variance_scaling_null():

@@ -7,10 +7,10 @@ from densigraph import ingestion, quality
 from densigraph.errors import TooFewPoints
 from densigraph.pgmio import decode_image, write_p5
 from densigraph.quality import (
+    FEATURES,
     OUTLIER,
     REGULAR,
     ClusterModel,
-    ImageFeatures,
     LabeledSet,
     classify,
     extract_features,
@@ -21,6 +21,7 @@ from test_cli import dirty_city, random_frames, removed_rows, run_ok, store_city
 
 
 def feat(**kw):
+    """A feature row, by FEATURES name."""
     base = dict(
         byte_size=1000,
         width=10,
@@ -29,29 +30,39 @@ def feat(**kw):
         intensity_variance=50.0,
         edge_density=0.2,
     )
+    assert set(kw) <= set(base)
     base.update(kw)
-    return ImageFeatures(**base)
+    return np.array([base[name] for name in FEATURES], dtype=np.float64)
+
+
+def fields(row):
+    return dict(zip(FEATURES, row))
+
+
+def labeled_set(*pairs):
+    """LabeledSet of (row, label) pairs."""
+    return LabeledSet(np.array([row for row, _ in pairs]), tuple(label for _, label in pairs))
 
 
 class TestExtractFeatures:
     def test_shape_and_byte_size(self):
-        f = extract_features(np.zeros((6, 9), dtype=np.uint8), 27)
-        assert (f.byte_size, f.width, f.height) == (27, 9, 6)
+        f = fields(extract_features(np.zeros((6, 9), dtype=np.uint8), 27))
+        assert (f["byte_size"], f["width"], f["height"]) == (27, 9, 6)
 
     def test_uniform_gray(self):
-        f = extract_features(np.full((10, 10), 128, dtype=np.uint8), 100)
-        assert f.mean_intensity == 128.0
-        assert f.intensity_variance == 0.0
-        assert f.edge_density == 0.0
+        f = fields(extract_features(np.full((10, 10), 128, dtype=np.uint8), 100))
+        assert f["mean_intensity"] == 128.0
+        assert f["intensity_variance"] == 0.0
+        assert f["edge_density"] == 0.0
 
     def test_checkerboard_edges(self):
         board = np.indices((8, 8)).sum(axis=0) % 2 * 255
-        f = extract_features(board.astype(np.uint8), 64)
-        assert f.edge_density == 1.0
+        f = fields(extract_features(board.astype(np.uint8), 64))
+        assert f["edge_density"] == 1.0
 
     def test_deterministic(self):
         img = np.random.default_rng(0).integers(0, 256, (6, 6)).astype(np.uint8)
-        assert extract_features(img, 36) == extract_features(img, 36)
+        assert extract_features(img, 36).tobytes() == extract_features(img, 36).tobytes()
 
     def test_empty_bytes(self, tmp_path, monkeypatch):
         # an emptied file is ZeroSize and never reaches extract_features
@@ -102,27 +113,27 @@ def two_blob_features(n_reg, n_out, seed=0):
 class TestFitClusters:
     def test_perfectly_separated_two_clusters(self):
         reg, out = two_blob_features(2, 2)
-        labeled = LabeledSet(((reg[0], REGULAR), (out[0], OUTLIER)))
+        labeled = labeled_set((reg[0], REGULAR), (out[0], OUTLIER))
         model = fit_clusters(reg + out, labeled, k=2, seed=0)
-        assert classify(model, reg[1]) == REGULAR
-        assert classify(model, out[1]) == OUTLIER
+        assert classify(model, reg[1]) == [REGULAR]
+        assert classify(model, out[1]) == [OUTLIER]
 
     def test_identical_unlabeled_inherit_regular(self):
         reg, out = two_blob_features(1, 1)
         points = [feat()] * 10
-        labeled = LabeledSet(((feat(), REGULAR), (out[0], OUTLIER)))
+        labeled = labeled_set((feat(), REGULAR), (out[0], OUTLIER))
         model = fit_clusters(points, labeled, k=3, seed=0)
-        assert classify(model, feat()) == REGULAR
+        assert classify(model, feat()) == [REGULAR]
 
     def test_too_few_points(self):
         reg, out = two_blob_features(1, 1)
-        labeled = LabeledSet(((reg[0], REGULAR), (out[0], OUTLIER)))
+        labeled = labeled_set((reg[0], REGULAR), (out[0], OUTLIER))
         with pytest.raises(TooFewPoints):
             fit_clusters([feat()], labeled, k=2, seed=0)
 
     def test_deterministic_given_seed(self):
         reg, out = two_blob_features(40, 5, seed=3)
-        labeled = LabeledSet(((reg[0], REGULAR), (out[0], OUTLIER)))
+        labeled = labeled_set((reg[0], REGULAR), (out[0], OUTLIER))
         m1 = fit_clusters(reg + out, labeled, k=4, seed=9)
         m2 = fit_clusters(reg + out, labeled, k=4, seed=9)
         np.testing.assert_array_equal(m1.centroids, m2.centroids)
@@ -132,12 +143,10 @@ class TestFitClusters:
         # oracle: the generating labels of the synthetic corpus
         reg, out = two_blob_features(950, 50, seed=7)
         held_reg, held_out = two_blob_features(200, 40, seed=8)
-        labeled = LabeledSet(
-            tuple((f, REGULAR) for f in reg[:7]) + tuple((f, OUTLIER) for f in out[:3])
-        )
+        labeled = labeled_set(*[(f, REGULAR) for f in reg[:7]], *[(f, OUTLIER) for f in out[:3]])
         model = fit_clusters(reg + out, labeled, k=4, seed=0)
-        out_hits = sum(classify(model, f) == OUTLIER for f in held_out)
-        false_pos = sum(classify(model, f) == OUTLIER for f in held_reg)
+        out_hits = classify(model, held_out).count(OUTLIER)
+        false_pos = classify(model, held_reg).count(OUTLIER)
         assert out_hits / len(held_out) >= 0.95
         assert false_pos / len(held_reg) <= 0.02
 
@@ -154,19 +163,31 @@ class TestClassify:
 
     def test_at_centroids(self):
         model = self.centroids_model()
-        assert classify(model, feat(mean_intensity=-1.0)) == REGULAR
-        assert classify(model, feat(mean_intensity=1.0)) == OUTLIER
+        assert classify(model, feat(mean_intensity=-1.0)) == [REGULAR]
+        assert classify(model, feat(mean_intensity=1.0)) == [OUTLIER]
 
     def test_midpoint_tie_breaks_lexicographically(self):
         model = self.centroids_model()
         # equidistant: 'outlier' < 'regular' lexicographically
-        assert classify(model, feat(mean_intensity=0.0)) == OUTLIER
+        assert classify(model, feat(mean_intensity=0.0)) == [OUTLIER]
+        # one call over several rows breaks each tie the same way
+        rows = np.array([feat(mean_intensity=m) for m in (0.0, -1.0, 0.0, -0.5, 0.5, 0.0)])
+        assert classify(model, rows) == [OUTLIER, REGULAR, OUTLIER, REGULAR, OUTLIER, OUTLIER]
+        # the label decides a tie, not the centroid index
+        flipped = ClusterModel(
+            centroids=model.centroids[::-1],
+            cluster_labels=model.cluster_labels[::-1],
+            feature_mean=model.feature_mean,
+            feature_std=model.feature_std,
+            kept_dims=model.kept_dims,
+        )
+        assert classify(flipped, rows) == classify(model, rows)
 
     def test_standardize_idempotent_on_stored_params(self):
         reg, out = two_blob_features(30, 5, seed=2)
-        labeled = LabeledSet(((reg[0], REGULAR), (out[0], OUTLIER)))
+        labeled = labeled_set((reg[0], REGULAR), (out[0], OUTLIER))
         model = fit_clusters(reg + out, labeled, k=3, seed=1)
-        v = model.standardize(reg[5].vector())
+        v = model.standardize(reg[5])
         assert np.isfinite(v).all()
 
 

@@ -5,7 +5,13 @@ import pytest
 
 from densigraph import synth
 from densigraph import statfit
-from densigraph.errors import AllFitsFailed, DegenerateSample, NoConvergence, NonPositiveSample
+from densigraph.errors import (
+    AllFitsFailed,
+    DegenerateSample,
+    InvalidParams,
+    NoConvergence,
+    NonPositiveSample,
+)
 from densigraph.statfit import (
     FAMILIES,
     cdf_eval,
@@ -130,6 +136,25 @@ class TestCdf:
             assert cdf_eval(family, params, 1e9) == pytest.approx(1.0, abs=1e-6)
 
 
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("exponential", {"rate": -3.0}),
+            ("normal", {"mu": 0.0, "sigma": 0.0}),
+            ("normal", {"mu": math.nan, "sigma": 1.0}),
+            ("gamma", {"shape": 2.0, "scale": math.inf}),
+            ("weibull", {"shape": math.nan, "scale": 1.0}),
+            ("loglogistic", {"scale": 1.0, "shape": 0.0}),
+        ],
+    )
+    def test_params_outside_their_domain_raise(self, family, params):
+        with pytest.raises(InvalidParams):
+            cdf_eval(family, params, np.linspace(0.1, 2.0, 5))
+
+    def test_normal_mu_may_be_negative(self):
+        assert cdf_eval("normal", {"mu": -5.0, "sigma": 1.0}, -5.0) == 0.5
+
+
 class TestKsStatistic:
     def test_single_point_median(self):
         # F(m) = 0.5 for the fitted median => D = 0.5
@@ -175,6 +200,12 @@ class TestRankFits:
     def test_all_fits_failed(self):
         with pytest.raises(AllFitsFailed):
             rank_fits(np.full(50, 3.0), families=["weibull", "loglogistic", "gamma"])
+
+    def test_fit_outside_its_domain_counts_as_failed(self):
+        # a subnormal mean overflows the exponential rate to inf
+        report = rank_fits(np.array([1e-320, 2e-320, 3e-320]))
+        assert report.failed["exponential"].startswith("InvalidParams: ")
+        assert "exponential" not in [c.family for c in report.candidates]
 
     def test_report_json_fields(self):
         sample = synth.sample_distribution("gamma", {"shape": 2, "scale": 3}, 500, 8)
