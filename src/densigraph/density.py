@@ -76,29 +76,32 @@ def build_background(frames: Iterable[Frame], z: int) -> np.ndarray:
     return total / z
 
 
-def _frame_density(frame: Frame, bg: np.ndarray, tau: float) -> DensityRecord:
-    d, _active = kernels.highpass_sum(frame.pixels, bg, float(tau))
+def _frame_density(frame: Frame, maps: kernels.HighpassMaps) -> DensityRecord:
+    d, _active = kernels.highpass_sum(frame.pixels, maps)
     return DensityRecord(frame.camera_id, frame.captured_at, d, d / (frame.pixels.size * 255))
 
 
 def process_sequence(frames: Iterable[Frame], z: int, tau: float) -> list[DensityRecord]:
     """Run the full density pipeline over frames in capture order.
 
-    The background is built once from the first z frames and held constant.
-    Only those z frames are held at once, so ``frames`` may be a generator
-    that decodes one frame at a time. Each frame is checked against the one
-    before it: a different camera or shape raises ShapeMismatch, and a
-    capture time that is not later raises OutOfOrderTimestamp.
+    The background is built once from the first z frames and held constant,
+    and the kernel's maps are derived from it once, so each frame is scored
+    in uint8. Only those z frames are held at once, so ``frames`` may be a
+    generator that decodes one frame at a time. Each frame is checked
+    against the one before it: a different camera or shape raises
+    ShapeMismatch, and a capture time that is not later raises
+    OutOfOrderTimestamp.
     """
     frames = iter(frames)
     window = list(islice(frames, max(z, 0)))
-    bg = build_background(window, z)  # raises InsufficientFrames if short
-    records = [_frame_density(frame, bg, tau) for frame in window]
+    # build_background raises InsufficientFrames if the window is short
+    maps = kernels.highpass_maps(build_background(window, z), tau)
+    records = [_frame_density(frame, maps) for frame in window]
     prev = window[-1]
     del window  # from here on, one frame at a time
     for frame in frames:
         _check_next(frame, prev)
-        records.append(_frame_density(frame, bg, tau))
+        records.append(_frame_density(frame, maps))
         prev = frame
     return records
 

@@ -59,10 +59,10 @@ def read_p5(data: bytes) -> np.ndarray:
     w, h, maxval = (int(field) for field in header.groups())
     if maxval != 255 or w < 1 or h < 1:
         raise ValueError("P5 must be 8-bit with positive dimensions")
-    raster = data[header.end() : header.end() + w * h]
-    if len(raster) != w * h:
+    if len(data) - header.end() < w * h:
         raise ValueError("P5 raster size mismatch")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
+    # a view of the raster in ``data``, not a copy; bytes after it are ignored
+    return np.frombuffer(data, dtype=np.uint8, count=w * h, offset=header.end()).reshape(h, w)
 
 
 def decode_image(data: bytes) -> np.ndarray | None:

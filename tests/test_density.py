@@ -1,3 +1,4 @@
+import hashlib
 import weakref
 from datetime import datetime, timedelta, timezone
 
@@ -178,6 +179,109 @@ class TestKernelContract:
         assert kernels.highpass_sum(frame, bg, 25.0) == (262, 3)
 
 
+def image_from_maps(frame, maps):
+    """Per pixel, the residual that highpass_sum adds up, read from its maps
+    as HighpassMaps documents them."""
+    kept = frame > maps.threshold
+    image = np.where(kept, frame.astype(np.int64) - maps.offset, 0).reshape(-1)
+    image[maps.tie_index] &= ~1
+    diff = frame.take(maps.exact_index) - maps.exact_bg
+    image[maps.exact_index] = np.where(diff > maps.tau, np.rint(diff), 0)
+    return image.reshape(frame.shape)
+
+
+def assert_kernel_matches_definition(bg, taus):
+    """For every k in 0..255, a 1 x N frame of k against the backgrounds in
+    ``bg``: the maps give highpass_image's value at each pixel, and
+    highpass_sum its sum and the count of residuals above tau."""
+    bg = np.asarray(bg, dtype=np.float64).reshape(1, -1)
+    for tau in taus:
+        maps = kernels.highpass_maps(bg, tau)
+        for k in range(256):
+            frame = np.full(bg.shape, k, dtype=np.uint8)
+            image = kernels.highpass_image(frame, bg, tau)
+            np.testing.assert_array_equal(image_from_maps(frame, maps), image, err_msg=f"k={k}")
+            expected = (int(image.astype(np.int64).sum()), int(((frame - bg) > tau).sum()))
+            assert kernels.highpass_sum(frame, maps) == expected, (tau, k)
+            assert kernels.highpass_sum(frame, bg, tau) == expected, (tau, k)
+
+
+class TestKernelEdges:
+    @pytest.mark.parametrize("z", [2, 3, 30, 100])
+    def test_every_k_against_every_window_mean(self, z):
+        # build_background's outputs are S / z; an even z puts ties n + 0.5 among them
+        assert_kernel_matches_definition(np.arange(255 * z + 1) / z, [0.0, 25.0, 25.5])
+
+    def test_backgrounds_at_and_next_to_ties(self):
+        halves = np.arange(255) + 0.5
+        bg = [halves]
+        for direction in (np.inf, -np.inf):
+            once = np.nextafter(halves, direction)
+            bg += [once, np.nextafter(once, direction)]
+        assert_kernel_matches_definition(np.concatenate(bg), [0.0, 0.5, 3.25, 25.0, 25.5])
+
+    def test_residual_rounded_onto_a_tie(self):
+        # fl(255 - bg) is 128.5, which rounds to 128; the exact 128.50000000000001 would give 129
+        bg = np.array([[126.49999999999999]])
+        assert 255 - bg[0, 0] == 128.5
+        assert kernels.highpass_sum(np.array([[255]], np.uint8), bg, 0.0) == (128, 1)
+
+    def test_background_plus_tau_rounding_up_onto_an_integer(self):
+        # 0.7 + 0.3 rounds to 1.0, yet fl(1 - 0.7) > 0.3: a frame of 1 passes
+        assert 0.7 + 0.3 == 1.0 and 1 - 0.7 > 0.3
+        assert kernels.highpass_sum(np.array([[1]], np.uint8), np.array([[0.7]]), 0.3) == (0, 1)
+        for bg, tau in [(0.7, 0.3), (1.9, 0.1), (2.8, 0.2), (4.6, 0.4)]:
+            assert_kernel_matches_definition([bg], [tau])
+
+    def test_extreme_backgrounds(self):
+        assert_kernel_matches_definition([0.0, 255.0, 5e-324, 0.25, 254.75], [0.0, 25.0, 254.5])
+
+    @pytest.mark.parametrize("tau", [255.0, 300.0, 1e300])
+    def test_tau_at_or_above_255_keeps_nothing(self, tau):
+        frame = np.full((2, 3), 255, dtype=np.uint8)
+        assert kernels.highpass_sum(frame, np.zeros((2, 3)), tau) == (0, 0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (1, 700), (300, 2)])
+    def test_small_and_thin_frames(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        frame = rng.integers(0, 256, shape, dtype=np.uint8)
+        bg = np.rint(rng.uniform(0, 255, shape) * 2) / 2
+        image = kernels.highpass_image(frame, bg, 10.0)
+        assert kernels.highpass_sum(frame, bg, 10.0) == (
+            int(image.astype(np.int64).sum()),
+            int(((frame - bg) > 10.0).sum()),
+        )
+
+    @pytest.mark.parametrize(
+        "bg,tau",
+        [
+            (-10.0, 0.0), (255.5, 0.0), (np.nan, 25.0), (np.inf, 25.0),
+            (0.0, -1.0), (0.0, np.nan), (0.0, np.inf),
+        ],
+        ids=[
+            "bg-negative", "bg-above-255", "bg-nan", "bg-inf",
+            "tau-negative", "tau-nan", "tau-inf",
+        ],
+    )
+    def test_refuses_outside_domain(self, bg, tau):
+        frame = np.array([[255]], dtype=np.uint8)
+        background = np.array([[bg]])
+        with pytest.raises(ValueError):
+            kernels.highpass_maps(background, tau)
+        with pytest.raises(ValueError):
+            kernels.highpass_sum(frame, background, tau)
+        with pytest.raises(ValueError):
+            kernels.highpass_image(frame, background, tau)
+
+    def test_refuses_a_frame_the_maps_do_not_fit(self):
+        maps = kernels.highpass_maps(np.zeros((2, 3)), 25.0)
+        for frame in (np.zeros((3, 2), np.uint8), np.zeros((2, 3), np.int64)):
+            with pytest.raises(ValueError):
+                kernels.highpass_sum(frame, maps)
+        with pytest.raises(TypeError):
+            kernels.highpass_sum(np.zeros((2, 3), np.uint8), np.zeros((2, 3)))
+
+
 class TestProcessSequence:
     def test_identical_frames(self):
         img = np.full((10, 10), 90, dtype=np.uint8)
@@ -213,6 +317,18 @@ class TestProcessSequence:
         r1 = process_sequence(frames, z=100, tau=25)
         r2 = process_sequence(frames, z=100, tau=25)
         assert r1 == r2
+
+    def test_trace_bytes_pinned(self):
+        # an even z puts backgrounds on ties n + 0.5; the digest is the trace
+        # as the float64 definition of the kernel wrote it
+        spec = synth.random_scene_spec(21, width=64, height=48, frame_count=60)
+        frames = list(synth.frames_from_spec(spec, "cam1"))
+        bg = build_background(frames, z=10)
+        assert np.count_nonzero(bg % 1 == 0.5) > 100
+        text = write_trace_csv(process_sequence(frames, z=10, tau=25))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2cc53f712c83c3676799bf61e92476f88381150f2444ee6aafcda4e77977bea7"
+        )
 
     def test_insufficient_frames(self):
         with pytest.raises(InsufficientFrames):

@@ -29,6 +29,10 @@ class TestReadP5:
         img = random_frames(3, 1, shape=(5, 7))[0]
         np.testing.assert_array_equal(read_p5(write_p5(img)), img)
 
+    def test_bytes_after_the_raster_are_ignored(self):
+        img = random_frames(5, 1, shape=(3, 4))[0]
+        np.testing.assert_array_equal(read_p5(write_p5(img) + b"\x00trailing"), img)
+
     def test_comment_lines_between_tokens(self):
         img = random_frames(4, 1, shape=(3, 4))[0]
         data = write_p5(img).replace(b"P5\n", b"P5\n# made by\n#\n", 1)
