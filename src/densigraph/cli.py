@@ -185,7 +185,7 @@ def _removed_paths(cfg: Config, city: str) -> set[str]:
     path = cfg.data_root / city / "removed.csv"
     if not path.exists():
         return set()
-    lines = path.read_text().strip().splitlines()[1:]
+    lines = ingestion.read_utf8(path, DensigraphError).strip().splitlines()[1:]
     return {line.split(",")[0] for line in lines}
 
 
@@ -408,8 +408,9 @@ def _read_city_traces(cfg: Config, city: str) -> dict[str, tuple[np.ndarray, np.
         raise DensigraphError(f"{folder} holds no density traces; run the density stage first")
     traces = {}
     for p in paths:
+        text = ingestion.read_utf8(p, CorruptTrace)
         try:
-            traces[p.stem] = density_mod.read_trace_csv(p.read_text())
+            traces[p.stem] = density_mod.read_trace_csv(text)
         except ValueError as exc:
             raise CorruptTrace(f"{p}: {exc}") from exc
     return traces
@@ -435,7 +436,7 @@ def _stats_json(path: Path) -> Iterator:
     """Parse a fits/ or lrd/ JSON file for the with-block: bad JSON, or a key or
     value the block cannot use (params outside their family's domain too), is
     a data error naming the file."""
-    text = path.read_text()
+    text = ingestion.read_utf8(path, DensigraphError)
     try:
         yield json.loads(text)
     except (ValueError, KeyError, TypeError, InvalidParams) as exc:
@@ -532,12 +533,13 @@ def cmd_report(cfg: Config, args) -> int:
             with _stats_json(path) as estimate:
                 hursts[path.stem] = estimate
 
+    hourly = lrd_dir / "hourly.csv"
     summary = {
         "city": args.city,
         "fits": fits,
         "hurst": hursts,
-        "hourly_profile": (lrd_dir / "hourly.csv").read_text().strip().splitlines()[1:]
-        if (lrd_dir / "hourly.csv").exists()
+        "hourly_profile": ingestion.read_utf8(hourly, DensigraphError).strip().splitlines()[1:]
+        if hourly.exists()
         else [],
     }
     _atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True) + "\n")

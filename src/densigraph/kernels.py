@@ -4,9 +4,11 @@ highpass_image is the definition: the float64 residual frame - bg, kept
 where it exceeds tau and rounded half-to-even (np.rint). highpass_sum returns
 the sum of that image and its count of kept pixels. It works in uint8 on maps
 that highpass_maps derives once per background and tau, and equals the
-definition exactly for every uint8 frame, every background in [0, 255] and
-every finite tau >= 0. Both refuse a background or tau outside that domain
-with ValueError.
+definition exactly for every uint8 frame, every finite tau >= 0 and every
+background in [0, 255] that is on or more than 2**-44 from each n + 0.5. A
+window mean S / z off a half is >= 1 / (2z) from it, and rounding moves it
+by <= 2**-46, so every z < 2**42 is in the domain. Both refuse what is
+outside it with ValueError; highpass_image also accepts the near halves.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 # pixels per step of a map build, so its float64 temporaries stay small
 _CHUNK = 1 << 14
 # fl(k - b) can land exactly on some m + 0.5 only when b lies within half an
-# ulp of 255.5 (2**-46) of some n + 0.5; this margin takes in all such b
+# ulp of 255.5 (2**-46) of some n + 0.5; highpass_maps refuses such b
 _NEAR_HALF = 2.0**-44
 
 
@@ -46,19 +48,16 @@ class HighpassMaps:
     threshold: np.ndarray  # uint8: a pixel is kept iff frame > threshold
     offset: np.ndarray  # uint8: a kept pixel's rounded residual is frame - offset
     tie_index: np.ndarray  # flat indices of backgrounds n + 0.5
-    exact_index: np.ndarray  # flat indices of the pixels scored by the definition
-    exact_bg: np.ndarray  # float64 background at exact_index
-    tau: float
 
     @property
     def nbytes(self) -> int:
-        arrays = (self.threshold, self.offset, self.tie_index, self.exact_index, self.exact_bg)
-        return sum(a.nbytes for a in arrays)
+        return self.threshold.nbytes + self.offset.nbytes + self.tie_index.nbytes
 
 
 def highpass_maps(bg, tau) -> HighpassMaps:
     """Derive highpass_sum's maps from a 2-D background in [0, 255] and a
-    finite tau >= 0.
+    finite tau >= 0. A background within 2**-44 of n + 0.5 but not on it
+    raises ValueError; no window mean S / z with z < 2**42 is one.
 
     The test fl(k - b) > tau is monotone in the integer k and fails at k = 0,
     so it reads frame > threshold, with threshold the largest k in 0..255
@@ -70,9 +69,7 @@ def highpass_maps(bg, tau) -> HighpassMaps:
     on some m + 0.5. At a tie b = n + 0.5 every residual does, and rounds to
     k - n less one when k - n is odd: the offset is n, and highpass_sum
     corrects by the parity at tie_index. Backgrounds within a few ulps of
-    n + 0.5 land on m + 0.5 for some k only: those pixels are scored by the
-    float64 definition at exact_index, and their threshold is 255 so the
-    uint8 path skips them.
+    n + 0.5 land on m + 0.5 for some k only, so no pair of maps holds them.
     """
     bg, tau = np.asarray(bg, dtype=np.float64), float(tau)
     if bg.ndim != 2:
@@ -80,28 +77,21 @@ def highpass_maps(bg, tau) -> HighpassMaps:
     flat = bg.reshape(-1)
     threshold = np.empty(flat.size, dtype=np.uint8)
     offset = np.empty(flat.size, dtype=np.uint8)
-    ties, exact = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    ties = [np.zeros(0, dtype=np.intp)]
     for start in range(0, flat.size, _CHUNK):
         b = flat[start : start + _CHUNK]
         _check_domain(b, tau)
-        k = np.floor(np.minimum(b + tau, 255.0))
-        k -= (k - b) > tau
         half = b - np.floor(b) - 0.5  # exact wherever it is near 0
         tie = half == 0
-        near = (np.abs(half) <= _NEAR_HALF) & ~tie
-        k[near] = 255
+        if ((np.abs(half) <= _NEAR_HALF) & ~tie).any():
+            raise ValueError("background values within 2**-44 of some n + 0.5 must be on it")
+        k = np.floor(np.minimum(b + tau, 255.0))
+        k -= (k - b) > tau
         threshold[start : start + b.size] = k
         offset[start : start + b.size] = np.ceil(b - 0.5)  # rint(b), but n at a tie
         ties.append(np.flatnonzero(tie) + start)
-        exact.append(np.flatnonzero(near) + start)
-    exact_index = np.concatenate(exact)
     return HighpassMaps(
-        threshold.reshape(bg.shape),
-        offset.reshape(bg.shape),
-        np.concatenate(ties),
-        exact_index,
-        flat[exact_index],
-        tau,
+        threshold.reshape(bg.shape), offset.reshape(bg.shape), np.concatenate(ties)
     )
 
 
@@ -134,10 +124,4 @@ def highpass_sum(frame, bg, tau=None):
     residual = np.subtract(frame, maps.offset)  # wraps only where not kept
     np.multiply(residual, kept.view(np.uint8), out=residual)
     odd_ties = np.count_nonzero(residual.take(maps.tie_index) & 1)
-    density, active = _byte_sum(residual) - odd_ties, np.count_nonzero(kept)
-    if maps.exact_index.size:
-        diff = frame.take(maps.exact_index) - maps.exact_bg
-        diff = diff[diff > maps.tau]
-        density += int(np.rint(diff).sum())
-        active += diff.size
-    return density, active
+    return _byte_sum(residual) - odd_ties, np.count_nonzero(kept)

@@ -63,6 +63,8 @@ class SceneSpec:
             raise InvalidSpec("non-positive dimensions")
         if not (math.isfinite(self.noise_stddev) and self.noise_stddev >= 0):
             raise InvalidSpec(f"noise stddev must be finite and >= 0, got {self.noise_stddev}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         bg = self.background_map()
         if bg.shape != (self.height, self.width):
             raise InvalidSpec(f"background is {bg.shape}, not {(self.height, self.width)}")
@@ -339,8 +341,9 @@ def sample_distribution(family: str, params: dict, n: int, seed: int) -> np.ndar
     if family in ("exponential", "weibull", "loglogistic"):
         return inverse_cdf(family, params, rng.random(n))
     if family == "normal":
-        if params["sigma"] <= 0:
-            raise InvalidParams("sigma must be positive")
+        _check_positive(params, ["sigma"])
+        if not math.isfinite(params["mu"]):
+            raise InvalidParams("mu must be finite")
         return params["mu"] + params["sigma"] * _box_muller(rng, n)
     if family == "gamma":
         _check_positive(params, ["shape", "scale"])

@@ -742,13 +742,14 @@ class TestCorruptInputs:
             {"set": ("background", [[60.0] * 100] * 99 + [[60.0] * 99 + [-1.0]])},
             {"intensity": 400, "background": 255},
             {"intensity": -50},
+            {"set": ("seed", -1)},
         ],
         ids=[
             "no-events", "no-width", "unknown-key", "str-width", "null-noise",
             "background-shape", "bad-event", "events-not-list", "nan-noise",
             "nan-background", "1e400-background", "inf-in-background-grid",
             "background-300", "negative-in-background-grid", "intensity-400-on-255",
-            "intensity-negative",
+            "intensity-negative", "negative-seed",
         ],
     )
     def test_malformed_scene_is_data_error(self, tmp_path, capsys, edit):
@@ -784,6 +785,14 @@ class TestCorruptInputs:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert f"{labels}:2: not UTF-8" in err and "Traceback" not in err
+
+    def test_removed_csv_not_utf8_is_data_error(self, corpus, capsys):
+        removed = corpus / "sydney" / "removed.csv"
+        removed.write_bytes(b"relative_path,reason\nsydney/\xff.pgm,Duplicate\n")
+        assert run(["--set", f"data_root={corpus}", "density", "--city", "sydney"]) == 2
+        err = capsys.readouterr().err
+        assert f"{removed}:2: not UTF-8" in err and "Traceback" not in err
+        assert not (corpus / "sydney" / "density").exists()
 
     def test_torn_labels_json_is_data_error(self, corpus, tmp_path, capsys):
         labels = tmp_path / "labels.json"
@@ -930,6 +939,26 @@ class TestUnreadableStatsJson:
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
         assert not (stats_root / "c" / "report").exists()
+
+
+    @pytest.mark.parametrize(
+        "name,stage",
+        [
+            ("fits/cam1.json", "report"),
+            ("lrd/cam1.rs.json", "report"),
+            ("lrd/hourly.csv", "report"),
+            ("density/cam1.csv", "fit"),
+        ],
+    )
+    def test_not_utf8_exits_2_naming_file_and_line(self, stats_root, capsys, name, stage):
+        path = stats_root / "c" / name
+        text = path.read_bytes()
+        path.write_bytes(text + b"\xff\n")
+        line = text.count(b"\n") + 1
+        capsys.readouterr()
+        assert run(["--set", f"data_root={stats_root}", stage, "--city", "c"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{line}: not UTF-8" in err and "Traceback" not in err
 
 
 class TestLowConfidence:

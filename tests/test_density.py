@@ -185,8 +185,6 @@ def image_from_maps(frame, maps):
     kept = frame > maps.threshold
     image = np.where(kept, frame.astype(np.int64) - maps.offset, 0).reshape(-1)
     image[maps.tie_index] &= ~1
-    diff = frame.take(maps.exact_index) - maps.exact_bg
-    image[maps.exact_index] = np.where(diff > maps.tau, np.rint(diff), 0)
     return image.reshape(frame.shape)
 
 
@@ -212,19 +210,39 @@ class TestKernelEdges:
         # build_background's outputs are S / z; an even z puts ties n + 0.5 among them
         assert_kernel_matches_definition(np.arange(255 * z + 1) / z, [0.0, 25.0, 25.5])
 
+    @pytest.mark.parametrize("z", [2**20 + 1, 10**6 + 1, 2**31 - 1])
+    def test_window_means_closest_to_a_half(self, z):
+        # S / z and (S + 1) / z straddle n + 0.5 by at most 1 / z, the nearest
+        # any window of z frames comes to a half without being on it
+        bg = []
+        for n in (0, 1, 126, 127, 254):
+            total = (2 * n + 1) * z // 2
+            bg += [total / z, (total + 1) / z]
+        assert_kernel_matches_definition(bg, [0.0, 0.5, 25.0])
+
     def test_backgrounds_at_and_next_to_ties(self):
         halves = np.arange(255) + 0.5
-        bg = [halves]
+        assert_kernel_matches_definition(halves, [0.0, 0.5, 3.25, 25.0, 25.5])
+        frame = np.full((1, 1), 255, dtype=np.uint8)
         for direction in (np.inf, -np.inf):
             once = np.nextafter(halves, direction)
-            bg += [once, np.nextafter(once, direction)]
-        assert_kernel_matches_definition(np.concatenate(bg), [0.0, 0.5, 3.25, 25.0, 25.5])
+            for b in np.concatenate([once, np.nextafter(once, direction)]):
+                background = np.array([[b]])
+                with pytest.raises(ValueError):
+                    kernels.highpass_maps(background, 0.0)
+                with pytest.raises(ValueError):
+                    kernels.highpass_sum(frame, background, 0.0)
+                assert kernels.highpass_image(frame, background, 0.0)[0, 0] == np.rint(255 - b)
 
     def test_residual_rounded_onto_a_tie(self):
-        # fl(255 - bg) is 128.5, which rounds to 128; the exact 128.50000000000001 would give 129
+        # fl(255 - bg) is 128.5, which rounds to 128; the exact 128.50000000000001
+        # would give 129, so no uint8 offset stands for this background
         bg = np.array([[126.49999999999999]])
         assert 255 - bg[0, 0] == 128.5
-        assert kernels.highpass_sum(np.array([[255]], np.uint8), bg, 0.0) == (128, 1)
+        frame = np.array([[255]], np.uint8)
+        assert kernels.highpass_image(frame, bg, 0.0)[0, 0] == 128
+        with pytest.raises(ValueError):
+            kernels.highpass_sum(frame, bg, 0.0)
 
     def test_background_plus_tau_rounding_up_onto_an_integer(self):
         # 0.7 + 0.3 rounds to 1.0, yet fl(1 - 0.7) > 0.3: a frame of 1 passes

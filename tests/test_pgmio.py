@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from densigraph.pgmio import decode_image, read_p5, write_p5
+from densigraph.pgmio import decode_image, read_p5, to_grayscale, write_p5
 
 from test_cli import random_frames, removed_rows, run_ok, store_city
 
@@ -56,3 +58,30 @@ class TestReadP5:
         run_ok("--set", f"data_root={root}", "clean", "--city", "testcity")
         reasons = [row.split(",")[1] for row in removed_rows(root)]
         assert reasons == ["DecodeError"] * len(MALFORMED)
+
+
+class TestPillowDecode:
+    """Other formats than P5 decode through Pillow, the optional ``images``
+    extra; without it these tests skip."""
+
+    @staticmethod
+    def png(pixels):
+        """PNG bytes of a uint8 array: mode L for 2-D, RGB for 3 channels."""
+        Image = pytest.importorskip("PIL.Image")
+        out = io.BytesIO()
+        Image.fromarray(pixels).save(out, "PNG")
+        return out.getvalue()
+
+    def test_rgb_png_is_the_luma_of_its_channels(self):
+        rgb = np.random.default_rng(7).integers(0, 256, (5, 6, 3), dtype=np.uint8)
+        decoded = decode_image(self.png(rgb))
+        np.testing.assert_array_equal(decoded, to_grayscale(rgb[..., 0], rgb[..., 1], rgb[..., 2]))
+
+    def test_gray_png_is_its_own_pixels(self):
+        gray = random_frames(8, 1, shape=(5, 6))[0]
+        np.testing.assert_array_equal(decode_image(self.png(gray)), gray)
+
+    def test_bytes_pillow_cannot_open_are_undecodable(self):
+        truncated = self.png(random_frames(9, 1, shape=(5, 6))[0])[:20]
+        assert decode_image(truncated) is None
+        assert decode_image(b"\xff\xd8 not a JPEG") is None

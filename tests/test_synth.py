@@ -151,6 +151,16 @@ class TestSampleDistribution:
             synth.sample_distribution("gamma", {"shape": -1, "scale": 3}, 10, 0)
         with pytest.raises(InvalidParams):
             synth.sample_distribution("cauchy", {}, 10, 0)
+        for params in (
+            {"mu": 0, "sigma": 0},
+            {"mu": 0, "sigma": float("nan")},
+            {"mu": 0, "sigma": float("inf")},
+            {"mu": float("inf"), "sigma": 1},
+            {"mu": float("-inf"), "sigma": 1},
+            {"mu": float("nan"), "sigma": 1},
+        ):
+            with pytest.raises(InvalidParams):
+                synth.sample_distribution("normal", params, 10, 0)
 
     def test_empirical_cdf_convergence(self):
         n = 2000
