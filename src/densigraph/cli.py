@@ -44,6 +44,7 @@ from .pgmio import decode_image, write_p5
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+REMOVED_HEADER = "relative_path,reason"
 
 
 # Config parsers: each takes a config file's JSON value or a --set string.
@@ -117,8 +118,9 @@ class Config:
         keys = {f.name: f.metadata["parse"] for f in fields(Config)}
         values = {}
         if path:
+            text = ingestion.read_utf8(path, ValueError)
             try:
-                obj = json.loads(Path(path).read_text())
+                obj = json.loads(text)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
             if not isinstance(obj, dict):
@@ -185,8 +187,10 @@ def _removed_paths(cfg: Config, city: str) -> set[str]:
     path = cfg.data_root / city / "removed.csv"
     if not path.exists():
         return set()
-    lines = ingestion.read_utf8(path, DensigraphError).strip().splitlines()[1:]
-    return {line.split(",")[0] for line in lines}
+    lines = ingestion.read_utf8(path, DensigraphError).splitlines()
+    if lines[:1] != [REMOVED_HEADER]:
+        raise DensigraphError(f"{path}:1: expected the header {REMOVED_HEADER!r}")
+    return {line.split(",")[0] for line in lines[1:]}
 
 
 def _decoded_frames(
@@ -361,7 +365,7 @@ def cmd_clean(cfg: Config, args) -> int:
                 reasons[path] = "ClusterOutlier"
 
     removed = [f"{path},{reason}" for path, reason in reasons.items() if reason]
-    lines = ["relative_path,reason"] + removed
+    lines = [REMOVED_HEADER] + removed
     _atomic_write(cfg.data_root / args.city / "removed.csv", "\n".join(lines) + "\n")
     _log(f"clean: removed {len(removed)} of {len(reasons)} frames")
     return 0

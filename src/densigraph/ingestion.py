@@ -157,10 +157,6 @@ def dedup_check(data: bytes, last_hash: str | None) -> tuple[bool, str]:
     return digest == last_hash, digest
 
 
-def _whole_second(ts: datetime) -> datetime:
-    return ts.astimezone(timezone.utc).replace(microsecond=0)
-
-
 def layout_path(city: str, camera_id: str, captured_at: datetime, ext: str) -> str:
     ts = captured_at.astimezone(timezone.utc)
     day = "%04d%02d%02d/%02d%02d%02d" % (ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second)
@@ -195,11 +191,13 @@ class FrameStore:
     def store_frame(
         self, camera: CameraMeta, captured_at: datetime, data: bytes
     ) -> ManifestRecord:
+        # the layout path and the manifest hold the whole second
+        captured_at = captured_at.astimezone(timezone.utc).replace(microsecond=0)
         if camera.city not in self._scanned:
             self._resume(camera.city)
         key = (camera.city, camera.camera_id)
         last = self._last_ts.get(key)
-        if last is not None and _whole_second(captured_at) <= _whole_second(last):
+        if last is not None and captured_at <= last:
             raise OutOfOrderTimestamp(
                 f"{camera.camera_id}: {captured_at} is not in a later second "
                 f"than the last stored {last}"
@@ -363,6 +361,7 @@ def crawl(
     clock = clock or (lambda: datetime.now(timezone.utc))
     sleep = sleep or _time.sleep
     tz_offsets = tz_offsets or {}
+    cameras = list(cameras)  # walked on every round
     t_end = clock() + timedelta(seconds=duration_seconds)
     next_due = {c.camera_id: clock() for c in cameras}
     records = []

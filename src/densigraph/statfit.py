@@ -1,9 +1,6 @@
 """Maximum-likelihood fitting of five candidate families plus KS scoring.
 
-Families and their parameters:
-  exponential(rate), normal(mu, sigma), gamma(shape, scale),
-  weibull(shape, scale), loglogistic(scale, shape).
-
+Each family's parameter names, fitter and support are in the table _FAMILY.
 All fits are MLE; positivity of shape/scale parameters is kept by solving
 in log-parameter space where iteration is needed. The KS pass/fail gate is
 the asymptotic 95% critical value 1.36/sqrt(n); parameters are estimated
@@ -20,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,9 +48,6 @@ __all__ = [
     "erf",
     "gammainc",
 ]
-
-# tie-break order matches the report legend (E, G, L, N, W)
-FAMILIES = ("exponential", "gamma", "loglogistic", "normal", "weibull")
 
 KS_COEFF_95 = 1.36
 
@@ -324,28 +318,31 @@ def fit_loglogistic(sample) -> dict:
     raise NoConvergence("log-logistic Newton did not converge")
 
 
-_FITTERS = {
-    "exponential": fit_exponential,
-    "gamma": fit_gamma,
-    "loglogistic": fit_loglogistic,
-    "normal": fit_normal,
-    "weibull": fit_weibull,
+class _Family(NamedTuple):
+    params: tuple[str, ...]
+    fit: Callable[..., dict]
+    positive: bool  # support is x > 0: fitted to the sample's positive values
+
+
+# tie-break order matches the report legend (E, G, L, N, W)
+_FAMILY = {
+    "exponential": _Family(("rate",), fit_exponential, True),
+    "gamma": _Family(("shape", "scale"), fit_gamma, True),
+    "loglogistic": _Family(("scale", "shape"), fit_loglogistic, True),
+    "normal": _Family(("mu", "sigma"), fit_normal, False),
+    "weibull": _Family(("shape", "scale"), fit_weibull, True),
 }
+FAMILIES = tuple(_FAMILY)
+
+
+def _family(name: str) -> _Family:
+    if name not in _FAMILY:
+        raise ValueError(f"unknown family {name!r}")
+    return _FAMILY[name]
 
 
 def fit_family(family: str, sample) -> dict:
-    if family not in _FITTERS:
-        raise ValueError(f"unknown family {family!r}")
-    return _FITTERS[family](sample)
-
-
-_PARAMS = {
-    "exponential": ("rate",),
-    "gamma": ("shape", "scale"),
-    "loglogistic": ("scale", "shape"),
-    "normal": ("mu", "sigma"),
-    "weibull": ("shape", "scale"),
-}
+    return _family(family).fit(sample)
 
 
 def cdf_eval(family: str, params: dict, x) -> np.ndarray | float:
@@ -355,32 +352,26 @@ def cdf_eval(family: str, params: dict, x) -> np.ndarray | float:
     Raises InvalidParams unless every param is finite, and positive except
     the normal's mu.
     """
-    if family not in _PARAMS:
-        raise ValueError(f"unknown family {family!r}")
-    for name in _PARAMS[family]:
+    spec = _family(family)
+    for name in spec.params:
         value = params[name]
         if not (math.isfinite(value) and (value > 0 or name == "mu")):
             need = "finite" if name == "mu" else "finite and positive"
             raise InvalidParams(f"{family} {name} = {value!r}: must be {need}")
     xv = np.asarray(x, dtype=np.float64)
     if family == "exponential":
-        out = np.where(xv <= 0, 0.0, -np.expm1(-params["rate"] * np.maximum(xv, 0)))
+        out = -np.expm1(-params["rate"] * np.maximum(xv, 0))
     elif family == "normal":
         out = 0.5 * (1.0 + erf((xv - params["mu"]) / (params["sigma"] * math.sqrt(2))))
     elif family == "gamma":
-        out = np.where(
-            xv <= 0, 0.0, gammainc(params["shape"], np.maximum(xv, 0) / params["scale"])
-        )
+        out = gammainc(params["shape"], np.maximum(xv, 0) / params["scale"])
     elif family == "weibull":
-        out = np.where(
-            xv <= 0,
-            0.0,
-            -np.expm1(-((np.maximum(xv, 1e-300) / params["scale"]) ** params["shape"])),
-        )
-    elif family == "loglogistic":
-        with np.errstate(divide="ignore", over="ignore"):
-            ratio = np.where(xv <= 0, np.inf, (params["scale"] / np.maximum(xv, 1e-300)) ** params["shape"])
-        out = np.where(xv <= 0, 0.0, 1.0 / (1.0 + ratio))
+        out = -np.expm1(-((np.maximum(xv, 1e-300) / params["scale"]) ** params["shape"]))
+    else:  # loglogistic
+        with np.errstate(over="ignore"):
+            out = 1.0 / (1.0 + (params["scale"] / np.maximum(xv, 1e-300)) ** params["shape"])
+    if spec.positive:
+        out = np.where(xv <= 0, 0.0, out)
     return float(out) if np.isscalar(x) else out
 
 
@@ -452,21 +443,19 @@ class FitReport:
         )
 
 
-def rank_fits(sample, families: Sequence[str] = FAMILIES, subject: str = "") -> FitReport:
-    """Fit every requested family, score by KS, rank ascending.
+def rank_fits(sample, subject: str = "") -> FitReport:
+    """Fit every family, score by KS, rank ascending (ties in FAMILIES order).
 
     Zeros are dropped before fitting positive-support families (the dropped
     fraction is recorded); the normal family sees the full sample.
     """
-    if not families:
-        raise ValueError("families must be non-empty")
     full = np.asarray(sample, dtype=np.float64)
     positive = full[full > 0]
     dropped = 1.0 - positive.size / full.size if full.size else 0.0
     fits = []
     failed = {}
-    for family in sorted(families, key=FAMILIES.index):
-        data = full if family == "normal" else positive
+    for family, spec in _FAMILY.items():
+        data = positive if spec.positive else full
         try:
             params = fit_family(family, data)
             ks = ks_statistic(data, family, params)
@@ -476,7 +465,7 @@ def rank_fits(sample, families: Sequence[str] = FAMILIES, subject: str = "") -> 
         fits.append(FittedDistribution(family, params, int(data.size), ks))
     if not fits:
         raise AllFitsFailed(f"all families failed: {failed}")
-    fits.sort(key=lambda f: (f.ks_stat, FAMILIES.index(f.family)))
+    fits.sort(key=lambda f: f.ks_stat)  # stable: ties keep FAMILIES order
     return FitReport(
         subject=subject,
         candidates=tuple(fits),

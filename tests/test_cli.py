@@ -182,6 +182,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    def test_config_not_utf8_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"tz_offsets": {"\xff": 9}}')
+        assert run(["--config", str(cfg), "density", "--city", "x"]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:1: not UTF-8" in err and "Traceback" not in err
+
+    def test_utf8_config_under_c_locale(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tz_offsets": {"\u6771\u4eac": 9}}', encoding="utf-8")
+        code = f"from densigraph.cli import Config; print(ascii(Config.load({str(cfg)!r}, []).tz_offsets))"
+        src = str(Path(densigraph.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0"}
+        env["PYTHONCOERCECLOCALE"] = "0"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == ascii({"\u6771\u4eac": 9.0}).encode()
+
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -792,6 +812,16 @@ class TestCorruptInputs:
         assert run(["--set", f"data_root={corpus}", "density", "--city", "sydney"]) == 2
         err = capsys.readouterr().err
         assert f"{removed}:2: not UTF-8" in err and "Traceback" not in err
+        assert not (corpus / "sydney" / "density").exists()
+
+    def test_removed_csv_without_header_is_data_error(self, corpus, capsys):
+        run_ok("--set", f"data_root={corpus}", "clean", "--city", "sydney")
+        removed = corpus / "sydney" / "removed.csv"
+        first = ingestion.scan_manifest(corpus, city="sydney")[0].relative_path
+        removed.write_text(f"{first},Duplicate\n")
+        assert run(["--set", f"data_root={corpus}", "density", "--city", "sydney"]) == 2
+        err = capsys.readouterr().err
+        assert f"{removed}:1: expected the header" in err and "Traceback" not in err
         assert not (corpus / "sydney" / "density").exists()
 
     def test_torn_labels_json_is_data_error(self, corpus, tmp_path, capsys):

@@ -132,6 +132,11 @@ class TestStoreFrame:
         with pytest.raises(OutOfOrderTimestamp):
             store.store_frame(camera(), T0, b"y")
 
+    def test_returned_record_is_the_one_read_back(self, tmp_path):
+        rec = FrameStore(tmp_path).store_frame(camera(), T0 + timedelta(seconds=0.25), b"x")
+        assert rec.captured_at == T0
+        assert scan_manifest(tmp_path, city="sydney") == [rec]
+
     def test_same_second_is_out_of_order(self, tmp_path):
         store = FrameStore(tmp_path)
         first = store.store_frame(camera(), T0 + timedelta(seconds=0.3), b"x")
@@ -369,16 +374,19 @@ class TestCatalog:
             load_catalog(path)
 
 
+def fake_clock():
+    """A clock at T0 that only sleep advances, by at least 1 s a call."""
+    now = [T0]
+
+    def sleep(seconds):
+        now[0] += timedelta(seconds=max(seconds, 1))
+
+    return lambda: now[0], sleep
+
+
 class TestCrawl:
     def test_injected_clock_and_fetch(self, tmp_path):
-        fake_now = [T0]
-
-        def clock():
-            return fake_now[0]
-
-        def sleep(seconds):
-            fake_now[0] += timedelta(seconds=max(seconds, 1))
-
+        clock, sleep = fake_clock()
         bodies = iter(b"img-%d" % i for i in range(10_000))
 
         def fetch(url):
@@ -394,3 +402,19 @@ class TestCrawl:
         # 0.9 * 10 = 9 s cadence over 60 s of fake time
         assert len(records) >= 6
         assert all(r.status == "stored" for r in records)
+
+    def test_cameras_from_a_generator(self, tmp_path):
+        clock, sleep = fake_clock()
+        cams = (
+            CameraMeta(
+                camera_id=f"cam{i}", city="sydney", latitude=0, longitude=0,
+                refresh_interval=10.0, source_url=f"http://example/cam{i}.jpg",
+            )
+            for i in range(2)
+        )
+        records = crawl(
+            cams, FrameStore(tmp_path), duration_seconds=60,
+            fetch=lambda url: url.encode(), clock=clock, sleep=sleep,
+        )
+        assert {r.camera_id for r in records} == {"cam0", "cam1"}
+        assert len(records) >= 12

@@ -154,6 +154,30 @@ class TestCdf:
     def test_normal_mu_may_be_negative(self):
         assert cdf_eval("normal", {"mu": -5.0, "sigma": 1.0}, -5.0) == 0.5
 
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("exponential", {"rate": 2.0}),
+            ("gamma", {"shape": 0.5, "scale": 1.5}),
+            ("weibull", {"shape": 0.3, "scale": 1e-3}),
+            ("loglogistic", {"scale": 1e300, "shape": 3.0}),
+        ],
+    )
+    def test_positive_support_is_zero_at_and_below_zero(self, family, params):
+        x = np.array([0.0, -0.0, -5e-324, -1.0, -1e300, -math.inf])
+        f = cdf_eval(family, params, x)
+        assert f.tolist() == [0.0] * x.size
+        assert cdf_eval(family, params, 0.0) == 0.0
+
+    def test_normal_is_positive_at_zero(self):
+        assert cdf_eval("normal", {"mu": 1.0, "sigma": 1.0}, 0.0) > 0.0
+
+    def test_unknown_family_raises_value_error(self):
+        with pytest.raises(ValueError, match="unknown family 'lognormal'"):
+            statfit.fit_family("lognormal", [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="unknown family 'lognormal'"):
+            cdf_eval("lognormal", {"mu": 0.0, "sigma": 1.0}, 1.0)
+
 
 class TestKsStatistic:
     def test_single_point_median(self):
@@ -175,11 +199,6 @@ class TestKsStatistic:
 
 
 class TestRankFits:
-    def test_singleton_family(self):
-        sample = synth.sample_distribution("exponential", {"rate": 1.0}, 200, 3)
-        report = rank_fits(sample, families=["exponential"])
-        assert report.best == "exponential"
-
     def test_loglogistic_data_selects_loglogistic(self):
         sample = synth.sample_distribution("loglogistic", {"scale": 3, "shape": 4}, 10_000, 21)
         assert rank_fits(sample).best == "loglogistic"
@@ -199,7 +218,7 @@ class TestRankFits:
 
     def test_all_fits_failed(self):
         with pytest.raises(AllFitsFailed):
-            rank_fits(np.full(50, 3.0), families=["weibull", "loglogistic", "gamma"])
+            rank_fits(np.zeros(50))
 
     def test_fit_outside_its_domain_counts_as_failed(self):
         # a subnormal mean overflows the exponential rate to inf
