@@ -167,7 +167,8 @@ def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
+        # an id decoded under a non-UTF-8 locale keeps its raw bytes as surrogates
+        with os.fdopen(fd, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -473,11 +474,11 @@ def cmd_fit(cfg: Config, args) -> int:
 def cmd_lrd(cfg: Config, args) -> int:
     traces = _read_city_traces(cfg, args.city)
     out_dir = cfg.data_root / args.city / "lrd"
+    step = lrd.city_step(seconds for seconds, _ in traces.values())
     written = set()
     for camera_id, (seconds, values) in traces.items():
-        gaps = np.diff(seconds)
-        step = float(np.median(gaps)) if gaps.size else 60.0
-        series = max(lrd.resample_locf(seconds, values, step), key=len)
+        segments = lrd.resample_locf(seconds, values, step) if step else []
+        _, series = max(segments, key=lambda seg: seg[1].size, default=(0, np.empty(0)))
         for method, estimator in (
             ("variance_time", lrd.variance_time_hurst),
             ("rs", lrd.rs_hurst),

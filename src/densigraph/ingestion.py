@@ -78,8 +78,8 @@ class CameraMeta:
     def __post_init__(self):
         check_id("camera_id", self.camera_id)
         check_id("city", self.city)
-        if self.refresh_interval <= 0:
-            raise ValueError("refresh_interval must be positive")
+        if not (math.isfinite(self.refresh_interval) and self.refresh_interval > 0):
+            raise ValueError("refresh_interval must be a finite number > 0")
         if self.daylight_window[0] >= self.daylight_window[1]:
             raise ValueError("daylight window start must precede end")
 

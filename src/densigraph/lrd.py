@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import timedelta
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "default_scales",
     "default_rs_blocks",
     "bucket_hourly",
+    "city_step",
     "resample_locf",
 ]
 
@@ -57,10 +58,12 @@ def aggregate_series(values: np.ndarray, m: int) -> np.ndarray:
 
 
 def _series(values) -> np.ndarray:
-    """``values`` as a float64 array, refused unless non-empty and finite."""
+    """``values`` as float64, refused unless non-empty, finite and not constant."""
     values = np.asarray(values, dtype=np.float64)
     if values.size < 1 or not np.isfinite(values).all():
         raise DegenerateSeries("values must be non-empty and finite")
+    if values.var() == 0:
+        raise DegenerateSeries("zero-variance series")
     return values
 
 
@@ -89,8 +92,6 @@ def variance_time_hurst(values, scales: Sequence[int] | None = None) -> HurstEst
     """H from the slope of log Var(aggregated) vs log block size: H = 1 + slope/2."""
     values = _series(values)
     n = values.size
-    if values.var() == 0:
-        raise DegenerateSeries("zero-variance series")
     if scales is None:
         scales = default_scales(n)
     scales = sorted(set(int(m) for m in scales))
@@ -121,20 +122,10 @@ def default_rs_blocks(n: int) -> list[int]:
     return blocks
 
 
-def _rs_one_block(x: np.ndarray) -> float | None:
-    s = x.std()
-    if s == 0:
-        return None
-    z = np.cumsum(x - x.mean())
-    return (z.max() - z.min()) / s
-
-
 def rs_hurst(values, block_sizes: Sequence[int] | None = None) -> HurstEstimate:
     """Rescaled-range H: slope of log mean(R/S) vs log block size."""
     values = _series(values)
     n = values.size
-    if values.var() == 0:
-        raise DegenerateSeries("zero-variance series")
     if block_sizes is None:
         block_sizes = default_rs_blocks(n)
     block_sizes = sorted(set(int(b) for b in block_sizes))
@@ -145,13 +136,13 @@ def rs_hurst(values, block_sizes: Sequence[int] | None = None) -> HurstEstimate:
         raise TooFewScales(f"need >=3 usable block sizes, have {len(usable)}")
     points = []
     for b in usable:
-        ratios = []
-        for i in range(n // b):
-            rs = _rs_one_block(values[i * b : (i + 1) * b])
-            if rs is not None:
-                ratios.append(rs)
-        if ratios:
-            points.append((math.log2(b), math.log2(float(np.mean(ratios)))))
+        blocks = values[: n // b * b].reshape(-1, b)
+        s = blocks.std(axis=1)
+        z = np.cumsum(blocks - blocks.mean(axis=1, keepdims=True), axis=1)
+        kept = s != 0  # a constant block has no rescaled range
+        ratios = (z.max(axis=1) - z.min(axis=1))[kept] / s[kept]
+        if ratios.size:
+            points.append((math.log2(b), math.log2(float(ratios.mean()))))
     if len(points) < 3:
         raise TooFewScales("fewer than 3 block sizes yielded an R/S value")
     slope, r2 = _loglog_fit(points)
@@ -180,17 +171,25 @@ def bucket_hourly(
     return [(h, sums[h] / counts[h] if counts[h] else 0.0, counts[h]) for h in range(24)]
 
 
+def city_step(traces_seconds: Iterable[np.ndarray]) -> int | None:
+    """A city's grid step in seconds: the lower median of all its traces' gaps pooled."""
+    gaps = np.sort(np.concatenate([np.diff(seconds) for seconds in traces_seconds]))
+    return int(gaps[(gaps.size - 1) // 2]) if gaps.size else None
+
+
 def resample_locf(
-    seconds: np.ndarray, values: np.ndarray, step_seconds: float
-) -> list[np.ndarray]:
-    """Snap a trace (strictly increasing ``seconds``) onto a regular grid by
-    last-observation-carried-forward; gaps longer than 10 steps split it."""
+    seconds: np.ndarray, values: np.ndarray, step: int
+) -> list[tuple[int, np.ndarray]]:
+    """Snap a trace (strictly increasing int64 ``seconds``) onto grid points i * ``step``
+    (Unix seconds), each the last observation at or before it; gaps over 10 steps split
+    it into (first grid index, values) segments, and one spanning no grid point is dropped."""
     if seconds.size == 0:
         return []
-    cuts = np.flatnonzero(np.diff(seconds) > 10.0 * step_seconds) + 1
+    cuts = np.flatnonzero(np.diff(seconds) > 10 * step) + 1
     out = []
     for seg_seconds, seg_values in zip(np.split(seconds, cuts), np.split(values, cuts)):
-        n = int(float(seg_seconds[-1] - seg_seconds[0]) // step_seconds) + 1
-        grid = seg_seconds[0] + np.arange(n) * step_seconds
-        out.append(seg_values[np.searchsorted(seg_seconds, grid, side="right") - 1])
+        first = -(-seg_seconds[0] // step)  # ceiling: no grid point before the first row
+        grid = np.arange(first, seg_seconds[-1] // step + 1, dtype=np.int64) * step
+        if grid.size:
+            out.append((int(first), seg_values[np.searchsorted(seg_seconds, grid, "right") - 1]))
     return out

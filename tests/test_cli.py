@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import densigraph
-from densigraph import cli, ingestion, quality, synth
+from densigraph import cli, density, ingestion, quality, synth
 from densigraph.cli import Config, run
+from densigraph.lrd import rs_hurst, variance_time_hurst
 from densigraph.pgmio import write_p5
 
 
@@ -201,6 +202,28 @@ class TestExitCodes:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == ascii({"\u6771\u4eac": 9.0}).encode()
+
+    def test_density_writes_utf8_under_c_locale(self, tmp_path):
+        # the locale's own encoding is ascii, and argv decodes to surrogates
+        scene = tmp_path / "scene.json"
+        scene.write_text(synth.random_scene_spec(5, frame_count=12).to_json())
+        root = tmp_path / "data"
+        src = str(Path(densigraph.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0"}
+        env["PYTHONCOERCECLOCALE"] = "0"
+        for argv in (
+            ["synth", "--scene", str(scene), "--city", "c", "--camera-id", "cam\u6771"],
+            ["--set", "window_z=4", "density", "--city", "c"],
+        ):
+            out = subprocess.run(
+                [sys.executable, "-m", "densigraph.cli", "--set", f"data_root={root}", *argv],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+        text = (root / "c" / "density" / "cam\u6771.csv").read_text(encoding="utf-8")
+        seconds, _ = density.read_trace_csv(text)
+        assert seconds.size == 12
+        assert {row.split(",")[0] for row in text.splitlines()[1:]} == {"cam\u6771"}
 
     @pytest.mark.parametrize(
         "cfg",
@@ -704,6 +727,20 @@ class TestCorruptInputs:
         assert f"{catalog}{named}" in err and "Traceback" not in err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("interval", ["NaN", "Infinity"])
+    def test_crawl_rejects_refresh_interval_that_is_not_finite(self, tmp_path, capsys, interval):
+        catalog = tmp_path / "catalog.json"
+        entry = '{"camera_id": "c1", "city": "s", "latitude": 0, "longitude": 0, "refresh_interval": '
+        catalog.write_text(f"[{entry}{interval}}}]")
+        argv = [
+            "--set", f"data_root={tmp_path / 'data'}", "--set", f"catalog_path={catalog}",
+            "crawl", "--duration", "0",
+        ]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{catalog}: entry 0:" in err and "refresh_interval" in err
+        assert "Traceback" not in err and not (tmp_path / "data").exists()
+
     def test_unknown_labeled_path_is_data_error(self, corpus, tmp_path, capsys):
         records = ingestion.scan_manifest(corpus, city="sydney")
         emptied = records[0].relative_path
@@ -888,6 +925,30 @@ def test_stats_stages_read_traces_in_camera_id_order(tmp_path):
     traces = cli._read_city_traces(Config(data_root=tmp_path), "c")
     assert list(traces) == ["cam", "cam-1", "cam0"]
     assert [s for s, _ in cli._subjects("c", traces)] == ["cam", "cam-1", "cam0", "c"]
+
+
+class TestCityGrid:
+    def test_slow_camera_is_carried_forward_onto_the_city_step(self, tmp_path):
+        rng = np.random.default_rng(14)
+        fast, slow = (
+            density.read_trace_csv(write_trace(tmp_path, "c", camera_id, rng.random(n), step).read_text())[1]
+            for camera_id, n, step in (("fast", 3000, 60), ("slow", 600, 300))
+        )
+        run_ok("--set", f"data_root={tmp_path}", "lrd", "--city", "c")
+        # 2,999 gaps of 60 s and 599 of 300 s pool to a 60 s step
+        slow_on_grid = np.repeat(slow, 5)[: 599 * 5 + 1]
+        for camera_id, series in (("fast", fast), ("slow", slow_on_grid)):
+            for method, estimator in (("variance_time", variance_time_hurst), ("rs", rs_hurst)):
+                path = tmp_path / "c" / "lrd" / f"{camera_id}.{method}.json"
+                assert json.loads(path.read_text())["H"] == estimator(series).H
+
+    def test_one_row_traces_give_hourly_and_no_estimate(self, tmp_path):
+        for camera_id in ("cam1", "cam2"):
+            write_trace(tmp_path, "c", camera_id, [0.3])
+        run_ok("--set", f"data_root={tmp_path}", "lrd", "--city", "c")
+        lrd_dir = tmp_path / "c" / "lrd"
+        assert [p.name for p in lrd_dir.iterdir()] == ["hourly.csv"]
+        assert "6,0.300000,2" in (lrd_dir / "hourly.csv").read_text().splitlines()
 
 
 class TestStaleOutputs:

@@ -1,3 +1,4 @@
+import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -8,6 +9,8 @@ from densigraph.errors import BlockTooLarge, DegenerateSeries, TooFewScales
 from densigraph.lrd import (
     aggregate_series,
     bucket_hourly,
+    city_step,
+    default_rs_blocks,
     resample_locf,
     rs_hurst,
     variance_time_hurst,
@@ -116,6 +119,47 @@ class TestRs:
         assert 0.43 <= est.H <= 0.57
 
 
+def rs_points_oracle(values, block_sizes):
+    """rs_hurst's regression points, one block at a time."""
+    points = []
+    for b in block_sizes:
+        ratios = []
+        for i in range(values.size // b):
+            x = values[i * b : (i + 1) * b]
+            s = x.std()
+            if s != 0:
+                z = np.cumsum(x - x.mean())
+                ratios.append((z.max() - z.min()) / s)
+        if ratios:
+            points.append((math.log2(b), math.log2(float(np.mean(ratios)))))
+    return tuple(points)
+
+
+def rs_cases():
+    """(series, block sizes) of fGn, uniform noise, and rounded series with
+    runs of zeros, whose constant blocks rs_hurst drops."""
+    cases = []
+    for seed, n in enumerate([200, 1000, 4099, 20_000]):
+        rng = np.random.default_rng(seed)
+        for H in (0.5, 0.8, 0.95):
+            cases.append(synth.gen_fgn(H, n, seed))
+        cases.append(rng.random(n))
+        cases.append(np.maximum(np.round(synth.gen_fgn(0.9, n, 50 + seed) - 0.5), 0.0))
+    blocks = [None, [8, 9, 24, 100, 127], [16, 32, 64, 128, 256, 512]]
+    return [(v, b) for v in cases for b in blocks]
+
+
+@pytest.mark.parametrize("values,blocks", rs_cases())
+def test_rs_hurst_matches_block_loop_bitwise(values, blocks):
+    usable = [b for b in (blocks or default_rs_blocks(values.size)) if b <= values.size]
+    want = rs_points_oracle(values, usable)
+    if len(want) < 3:
+        with pytest.raises(TooFewScales):
+            rs_hurst(values, blocks)
+    else:
+        assert rs_hurst(values, blocks).regression_points == want
+
+
 def trace(*rows):
     """(seconds, values) of (hour, minute, value) rows on T0's day."""
     seconds = [int(T0.replace(hour=h, minute=m).timestamp()) for h, m, _ in rows]
@@ -150,19 +194,79 @@ class TestBucketHourly:
         assert buckets[17][1] > max(mid)
 
 
+def minute_index(hour, minute):
+    """The index on a 60 s grid of that wall-clock time on T0's day."""
+    return int(T0.replace(hour=hour, minute=minute).timestamp()) // 60
+
+
 class TestResampleLocf:
     def test_regular_grid_passthrough(self):
-        (ts,) = resample_locf(*trace(*[(8, m, float(m)) for m in range(5)]), 60.0)
+        ((start, ts),) = resample_locf(*trace(*[(8, m, float(m)) for m in range(5)]), 60)
+        assert start == minute_index(8, 0)
         np.testing.assert_array_equal(ts, [0, 1, 2, 3, 4])
 
     def test_carry_forward(self):
-        (ts,) = resample_locf(*trace((8, 0, 1.0), (8, 3, 4.0)), 60.0)
+        ((_, ts),) = resample_locf(*trace((8, 0, 1.0), (8, 3, 4.0)), 60)
         np.testing.assert_array_equal(ts, [1, 1, 1, 4])
 
     def test_gap_splits(self):
-        parts = resample_locf(*trace((8, 0, 1.0), (8, 1, 2.0), (10, 0, 3.0)), 60.0)
-        assert len(parts) == 2
-        assert parts[1].tolist() == [3.0]
+        seconds, values = trace((8, 0, 1.0), (8, 1, 2.0), (10, 0, 3.0), (10, 2, 4.0))
+        seconds[0] += 30  # 08:00:30 first reaches the grid at 08:01
+        parts = resample_locf(seconds, values, 60)
+        assert [start for start, _ in parts] == [minute_index(8, 1), minute_index(10, 0)]
+        assert [p.tolist() for _, p in parts] == [[2.0], [3.0, 3.0, 4.0]]
+
+    def test_segment_between_grid_points_is_dropped(self):
+        seconds, values = trace((8, 0, 1.0), (8, 1, 2.0), (10, 0, 3.0))
+        seconds[2] += 30  # alone after the gap, and off the grid
+        assert [start for start, _ in resample_locf(seconds, values, 60)] == [minute_index(8, 0)]
+
+    def test_cameras_off_by_part_of_a_step_share_indices(self):
+        base = int(T0.timestamp()) + np.arange(50, dtype=np.int64) * 60
+        a, b = (resample_locf(base + lag, np.arange(50.0), 60) for lag in (5, 47))
+        assert [(start, p.tolist()) for start, p in a] == [(start, p.tolist()) for start, p in b]
+        assert a[0][0] == minute_index(0, 1)
+
+    def test_on_grid_trace_keeps_its_values_and_hurst(self):
+        values = synth.gen_fgn(0.8, 3000, 41)
+        seconds = int(T0.timestamp()) + np.arange(3000, dtype=np.int64) * 120
+        seconds[1500:] += 3600  # a gap of 31 steps
+        assert city_step([seconds]) == 120
+        parts = resample_locf(seconds, values, 120)
+        assert [start for start, _ in parts] == [seconds[0] // 120, seconds[1500] // 120]
+        for (_, got), want in zip(parts, (values[:1500], values[1500:])):
+            np.testing.assert_array_equal(got, want)
+            for estimator in (variance_time_hurst, rs_hurst):
+                assert estimator(got) == estimator(want)
+
+
+class TestCityStep:
+    def test_mixed_cadences_take_the_finer_step(self):
+        # 2 h of a 60 s camera (120 gaps) and of a 300 s camera (24 gaps)
+        t0 = int(T0.timestamp())
+        fast = t0 + np.arange(121, dtype=np.int64) * 60
+        slow = t0 + np.arange(25, dtype=np.int64) * 300
+        step = city_step([fast, slow])
+        assert step == 60
+        ((_, fast_series),) = resample_locf(fast, np.arange(121.0), step)
+        ((_, slow_series),) = resample_locf(slow, np.arange(25.0), step)
+        assert fast_series.tolist() == list(range(121))
+        # the slow camera is carried forward: each value for 5 grid points
+        assert slow_series.tolist() == [float(i // 5) for i in range(121)]
+
+    def test_faster_camera_thinned_to_last_value_per_step(self):
+        seconds = int(T0.timestamp()) + 10 + np.arange(30, dtype=np.int64) * 20
+        ((start, series),) = resample_locf(seconds, np.arange(30.0), 60)
+        assert start == minute_index(0, 1)
+        # captures at :10, :30, :50 of each minute; the :50 one holds the next minute
+        assert series.tolist() == [3 * i + 2.0 for i in range(9)]
+
+    def test_lower_median_of_pooled_gaps(self):
+        assert city_step([np.array([0, 60, 121]), np.array([5])]) == 60
+        assert city_step([np.array([0, 3, 10, 11])]) == 3
+
+    def test_no_gaps_no_step(self):
+        assert city_step([np.array([100]), np.array([7])]) is None
 
 
 class TestEstimatorsRefuse:
@@ -179,19 +283,26 @@ class TestEstimatorsRefuse:
 # at a time, as the trace's capture times would be handled as datetimes.
 
 
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
 def locf_oracle(times, values, step):
+    """Each segment's (first grid index, values), walking the grid instants
+    EPOCH + k * step from the first at or after the segment's first time."""
+    step = timedelta(seconds=step)
     out, start = [], 0
     for i in range(1, len(times) + 1):
-        if i == len(times) or (times[i] - times[i - 1]).total_seconds() > 10.0 * step:
+        if i == len(times) or times[i] - times[i - 1] > 10 * step:
             seg_t, seg_v = times[start:i], values[start:i]
-            n = int((seg_t[-1] - seg_t[0]).total_seconds() // step) + 1
-            row, j = [], 0
-            for k in range(n):
-                t = seg_t[0] + timedelta(seconds=k * step)
-                while j + 1 < len(seg_t) and seg_t[j + 1] <= t:
+            first = -((EPOCH - seg_t[0]) // step)
+            row, j, k = [], 0, first
+            while EPOCH + k * step <= seg_t[-1]:
+                while j + 1 < len(seg_t) and seg_t[j + 1] <= EPOCH + k * step:
                     j += 1
                 row.append(seg_v[j])
-            out.append(row)
+                k += 1
+            if row:
+                out.append((first, row))
             start = i
     return out
 
@@ -228,18 +339,23 @@ class TestArrayFormsMatchDatetimeOracle:
     @pytest.mark.parametrize("seed", range(8))
     def test_resample_locf(self, seed):
         seconds, values = irregular_trace(seed, step=60)
-        step = float(np.median(np.diff(seconds)))
-        assert step == 60.5
+        # the gaps' median is 60.5 s; the lower median is a whole gap
+        step = city_step([seconds])
+        assert step == 60
         got = resample_locf(seconds, values, step)
         want = locf_oracle(as_datetimes(seconds), values.tolist(), step)
-        assert [part.tolist() for part in got] == want
+        assert [(start, part.tolist()) for start, part in got] == want
 
     def test_split_at_ten_steps_plus_one_second(self):
-        seconds = np.array([0, 60, 660, 1321], dtype=np.int64) + int(T0.timestamp())
-        values = np.array([1.0, 2.0, 3.0, 4.0])
-        parts = resample_locf(seconds, values, 60.0)
-        assert [p.tolist() for p in parts] == locf_oracle(as_datetimes(seconds), values.tolist(), 60.0)
-        assert [p.size for p in parts] == [12, 1]
+        # gaps of 10 steps, then 10 steps and 1 s (the only split), then 599 s;
+        # 7 s later the first segment starts one grid point later
+        for shift, sizes in ((0, [12, 10]), (7, [11, 10])):
+            seconds = np.array([0, 60, 660, 1321, 1920], dtype=np.int64) + int(T0.timestamp()) + shift
+            values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+            parts = resample_locf(seconds, values, 60)
+            want = locf_oracle(as_datetimes(seconds), values.tolist(), 60)
+            assert [(start, p.tolist()) for start, p in parts] == want
+            assert [p.size for _, p in parts] == sizes
 
     @pytest.mark.parametrize("offset", [0.0, 5.5, -7.25, 1 / 3, 0.33333333, 24.0, -24.0])
     @pytest.mark.parametrize("seed", range(4))
