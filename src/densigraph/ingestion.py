@@ -43,16 +43,18 @@ FETCH_MARGIN = 0.9  # poll a little faster than the camera refreshes
 DEFAULT_WINDOW = (time(6, 0), time(18, 0))
 
 
-# '/', '\\', ',' and the control characters (Unicode category Cc)
-_UNSAFE_ID_CHAR = re.compile(r"[/\\,\x00-\x1f\x7f-\x9f]")
+# '/', '\\', ',', the control characters (Unicode category Cc) and the
+# surrogates that no file name can hold: 'surrogateescape' encodes only
+# U+DC80-U+DCFF, which stand for the undecodable bytes of an argv or file name
+_UNSAFE_ID_CHAR = re.compile(r"[/\\,\x00-\x1f\x7f-\x9f\ud800-\udc7f\udd00-\udfff]")
 
 
 def check_id(kind: str, value) -> None:
     """Raise ValueError unless value is safe as a camera id or city name.
 
     Ids become one directory in the storage layout and one field in trace
-    CSVs, so an id may not be empty, '.' or '..', nor hold '/', '\\', ','
-    or a control character.
+    CSVs, so an id may not be empty, '.' or '..', nor hold '/', '\\', ',',
+    a control character or a surrogate outside U+DC80-U+DCFF.
     """
     if (
         not isinstance(value, str)
@@ -61,7 +63,7 @@ def check_id(kind: str, value) -> None:
     ):
         raise ValueError(
             f"{kind} {value!r} must be a non-empty name other than '.' or '..'"
-            " without '/', '\\', ',' or control characters"
+            " without '/', '\\', ',', control characters or surrogates outside U+DC80-U+DCFF"
         )
 
 

@@ -49,11 +49,23 @@ class LabeledSet:
 
 
 def extract_features(img: np.ndarray, byte_size: int) -> np.ndarray:
-    """Feature row of a decoded frame whose file holds byte_size bytes."""
+    """Feature row of a decoded uint8 frame whose file holds byte_size bytes.
+
+    Mean, variance and edge density are each an exact ratio of Python ints,
+    which int / int rounds once, so none depends on summation order.
+    """
     h, w = img.shape
-    diffs = np.abs(np.diff(img.astype(np.int16), axis=1))
-    edge = (diffs > EDGE_STEP).mean() if w > 1 else 0.0
-    return np.array([byte_size, w, h, img.mean(), img.var(), edge], dtype=np.float64)
+    n = h * w
+    # the pixel sum S and sum of squares S2 are exact in float64 in any
+    # order while n * 255**2 < 2**53, i.e. for frames under 1.3e11 pixels
+    f = img.astype(np.float64).ravel()
+    s, s2 = int(f.sum()), int(np.dot(f, f))
+    edge = 0.0
+    if w > 1:
+        diffs = np.subtract(img[:, 1:], img[:, :-1], dtype=np.int16)
+        np.abs(diffs, out=diffs)
+        edge = np.count_nonzero(diffs > EDGE_STEP) / (h * (w - 1))
+    return np.array([byte_size, w, h, s / n, (n * s2 - s * s) / (n * n), edge], dtype=np.float64)
 
 
 @dataclass(frozen=True)

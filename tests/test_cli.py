@@ -511,7 +511,7 @@ def test_fit_and_report_never_import_scipy(corpus):
 
 
 class TestUnsafeIds:
-    @pytest.mark.parametrize("bad", ["", "../../esc", "a,b"])
+    @pytest.mark.parametrize("bad", ["", "../../esc", "a,b", "cam\ud800"])
     @pytest.mark.parametrize("flag", ["--camera-id", "--city"])
     def test_synth_rejects_unsafe_id(self, tmp_path, capsys, flag, bad):
         scene = tmp_path / "scene.json"
@@ -561,6 +561,21 @@ class TestUnsafeIds:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert str(catalog) in err and "'a,b'" in err and "Traceback" not in err
+
+    def test_crawl_rejects_surrogate_catalog_id(self, tmp_path, capsys):
+        # JSON can escape a lone surrogate, which no directory name can hold
+        catalog = tmp_path / "catalog.json"
+        entry = {"camera_id": "cam\ud800", "city": "c", "latitude": 0, "longitude": 0, "refresh_interval": 5}
+        catalog.write_text(json.dumps([entry]))
+        assert "\\ud800" in catalog.read_text()
+        argv = [
+            "--set", f"data_root={tmp_path / 'data'}", "--set", f"catalog_path={catalog}",
+            "crawl", "--duration", "0",
+        ]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{catalog}: entry 0:" in err and "surrogate" in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
 
 
 class TestSynthFlags:

@@ -175,6 +175,8 @@ class TestStoreFrame:
 
 
 UNSAFE_IDS = ["", ".", "..", "../../esc", "a/b", "a\\b", "a,b", "a\tb", "a\x00b", "a\x85b"]
+# surrogates that no file name can hold, though a JSON catalog can escape them
+UNSAFE_IDS += ["cam\ud800", "\udfff", "a\udc7fb", "cam\udd00"]
 
 
 class TestCameraIds:
@@ -184,9 +186,21 @@ class TestCameraIds:
         with pytest.raises(ValueError, match=field):
             camera(**{field: bad})
 
-    @pytest.mark.parametrize("good", ["syd-001", "cam 1", "...", "a.b", "東京", "x_y+z"])
-    def test_safe_id_accepted(self, good):
-        assert camera(camera_id=good, city=good).camera_id == good
+    # U+DC80-U+DCFF: argv's undecodable bytes under surrogateescape
+    @pytest.mark.parametrize("good", ["syd-001", "cam 1", "...", "a.b", "東京", "x_y+z", "cam\udc80", "caf\udce9"])
+    def test_safe_id_accepted(self, tmp_path, good):
+        rec = FrameStore(tmp_path).store_frame(camera(camera_id=good, city=good), T0, b"x")
+        assert rec.camera_id == good and (tmp_path / good / good).is_dir()
+
+    def test_surrogate_rejected_unless_a_file_name_can_hold_it(self):
+        for code in range(0xD800, 0xE000):
+            try:
+                chr(code).encode("utf-8", "surrogateescape")
+            except UnicodeEncodeError:
+                with pytest.raises(ValueError, match="camera_id"):
+                    camera(camera_id=f"cam{chr(code)}")
+            else:
+                assert camera(camera_id=f"cam{chr(code)}").camera_id == f"cam{chr(code)}"
 
     def test_escaping_id_stores_nothing(self, tmp_path):
         root = tmp_path / "a" / "b" / "data"
@@ -362,7 +376,7 @@ class TestCatalog:
         with pytest.raises(CorruptCatalog, match=re.escape(f"{path}: duplicate camera_id")):
             load_catalog(path)
 
-    @pytest.mark.parametrize("bad", ["..", "a,b", 7])
+    @pytest.mark.parametrize("bad", ["..", "a,b", 7, "cam\ud800"])
     @pytest.mark.parametrize("field", ["camera_id", "city"])
     def test_unsafe_id_names_the_catalog(self, tmp_path, field, bad):
         path = tmp_path / "catalog.json"

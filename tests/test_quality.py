@@ -1,12 +1,15 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from densigraph import ingestion, quality
+from densigraph import ingestion, quality, synth
 from densigraph.errors import TooFewPoints
 from densigraph.pgmio import decode_image, write_p5
 from densigraph.quality import (
+    EDGE_STEP,
     FEATURES,
     OUTLIER,
     REGULAR,
@@ -87,6 +90,102 @@ class TestExtractFeatures:
         removed = clean(root, "--labels", labels)
         assert removed[paths[3]] == "DecodeError"
         assert len(sizes) == len(paths) - 1
+
+
+def fading_city(root):
+    """Store three 64x48 cameras of 24 frames, every third one faded toward
+    a flat 245 error frame with noise, plus cam1 rule hits: a duplicate, a
+    failed fetch and a cut-short file. Returns the manifest's paths."""
+    rng = np.random.default_rng(23)
+    payloads = {}
+    for c, camera_id in enumerate(("cam1", "cam2", "cam3")):
+        frames = synth.render_scene_sequence(synth.random_scene_spec(30 + c, width=64, height=48, frame_count=24))
+        payloads[camera_id] = []
+        for i, a in enumerate(frames):
+            if i % 3 == 2:
+                alpha = rng.uniform(0.2, 0.9)
+                a = np.rint((1 - alpha) * a + alpha * 245 + rng.normal(0, 4, a.shape))
+                a = np.clip(a, 0, 255).astype(np.uint8)
+            payloads[camera_id].append(write_p5(a))
+    payloads["cam1"] += [payloads["cam1"][-1], b"", payloads["cam1"][0]]
+    store_city(root, payloads)
+    paths = manifest_paths(root)
+    cut = root / paths[26]
+    cut.write_bytes(cut.read_bytes()[:100])  # cut short after storing
+    return paths
+
+
+def oracle_frames():
+    """Edge cases, then seeded random frames of random size up to 480x640,
+    each over a random intensity band, then full-range ones of that size."""
+    frames = [
+        np.array([[7]], dtype=np.uint8),
+        np.arange(9, dtype=np.uint8).reshape(9, 1),  # one column: no horizontal neighbors
+        np.full((5, 7), 93, dtype=np.uint8),
+        np.zeros((4, 6), dtype=np.uint8),
+        np.full((6, 4), 255, dtype=np.uint8),
+    ]
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        h, w = rng.integers(1, 481), rng.integers(1, 641)
+        lo = rng.integers(0, 256)
+        hi = rng.integers(lo, 256)
+        frames.append(rng.integers(lo, hi, (h, w), dtype=np.uint8, endpoint=True))
+    frames += [rng.integers(0, 256, (480, 640), dtype=np.uint8) for _ in range(3)]
+    return frames
+
+
+def exact_mean_var(img):
+    """Oracle: mean and variance as correctly rounded exact fractions."""
+    a = img.astype(np.int64)
+    n, s, s2 = a.size, int(a.sum()), int((a * a).sum())
+    return float(Fraction(s, n)), float(Fraction(n * s2 - s * s, n * n))
+
+
+def numpy_mean_edge(img):
+    """Oracle: mean and edge density as numpy computed them before the
+    features became integer ratios."""
+    diffs = np.abs(np.diff(img.astype(np.int16), axis=1))
+    edge = (diffs > EDGE_STEP).mean() if img.shape[1] > 1 else 0.0
+    return img.mean(), edge
+
+
+def bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+class TestFeatureOracles:
+    def test_mean_and_variance_equal_fraction_oracle(self):
+        for img in oracle_frames():
+            f = fields(extract_features(img, 1))
+            assert bits(f["mean_intensity"], f["intensity_variance"]) == bits(*exact_mean_var(img)), img.shape
+
+    def test_mean_and_edge_density_equal_numpy(self):
+        for img in oracle_frames():
+            f = fields(extract_features(img, 1))
+            assert bits(f["mean_intensity"], f["edge_density"]) == bits(*numpy_mean_edge(img)), img.shape
+
+    def test_edge_cases(self):
+        one, column, constant, black, white = (fields(extract_features(img, 1)) for img in oracle_frames()[:5])
+        assert (one["mean_intensity"], one["intensity_variance"], one["edge_density"]) == (7.0, 0.0, 0.0)
+        assert column["edge_density"] == 0.0 and column["intensity_variance"] == 20 / 3
+        assert (constant["mean_intensity"], constant["intensity_variance"]) == (93.0, 0.0)
+        assert (black["mean_intensity"], black["intensity_variance"], black["edge_density"]) == (0.0, 0.0, 0.0)
+        assert (white["mean_intensity"], white["intensity_variance"], white["edge_density"]) == (255.0, 0.0, 0.0)
+
+    def test_variance_close_to_numpy(self):
+        # numpy's two-pass var() rounds at every step; the exact ratio may
+        # differ from it in the last few bits only
+        for img in oracle_frames():
+            v = fields(extract_features(img, 1))["intensity_variance"]
+            assert abs(v - img.var()) <= 4 * np.spacing(img.var()), img.shape
+
+    def test_strided_view_equals_contiguous_copy(self):
+        img = np.random.default_rng(3).integers(0, 256, (61, 81), dtype=np.uint8)
+        for view in (img[:, ::2], img[::3], img.T, img[5:40, 7:70]):
+            assert not view.flags.c_contiguous
+            row = extract_features(view, 9)
+            assert row.tobytes() == extract_features(np.ascontiguousarray(view), 9).tobytes()
 
 
 def two_blob_features(n_reg, n_out, seed=0):
@@ -306,6 +405,21 @@ class TestCleanTrace:
         paths = manifest_paths(root)
         (root / paths[2]).write_bytes(b"")
         assert clean(root) == dict.fromkeys(paths, "ZeroSize")
+
+    def test_removed_bytes_pinned(self, tmp_path):
+        # every third frame fades toward a bright error frame by a random
+        # amount, so the cluster boundary runs through the fades: a feature
+        # change that moves any verdict changes the digest
+        root = tmp_path / "data"
+        paths = fading_city(root)
+        labels = write_labels(tmp_path, [(paths[0], REGULAR), (paths[28], REGULAR), (paths[2], OUTLIER)])
+        removed = clean(root, "--labels", labels)
+        fades = [p for i, p in enumerate(paths[:24]) if i % 3 == 2]
+        assert 0 < sum(removed.get(p) == "ClusterOutlier" for p in fades) < len(fades)
+        assert set(removed.values()) == {"Duplicate", "ZeroSize", "DecodeError", "ClusterOutlier"}
+        assert hashlib.sha256((root / "testcity" / "removed.csv").read_bytes()).hexdigest() == (
+            "8526f89bcca1b7037e836678aa138660d19832c2bb90414d7c593198992aff25"
+        )
 
     def test_order_preserved(self, tmp_path):
         # cam2 is stored first; removed.csv still follows scan_manifest order
