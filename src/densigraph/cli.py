@@ -45,6 +45,7 @@ from .pgmio import decode_image, write_p5
 USAGE_ERROR = 1
 DATA_ERROR = 2
 REMOVED_HEADER = "relative_path,reason"
+HOURLY_HEADER = "hour,mean_normalized,count"
 
 
 # Config parsers: each takes a config file's JSON value or a --set string.
@@ -188,10 +189,16 @@ def _removed_paths(cfg: Config, city: str) -> set[str]:
     path = cfg.data_root / city / "removed.csv"
     if not path.exists():
         return set()
+    return {line.split(",")[0] for line in _rows_after_header(path, REMOVED_HEADER)}
+
+
+def _rows_after_header(path: Path, header: str) -> list[str]:
+    """The lines of a CSV side file after its header. A first line other than
+    ``header`` is a data error naming ``path:1``."""
     lines = ingestion.read_utf8(path, DensigraphError).splitlines()
-    if lines[:1] != [REMOVED_HEADER]:
-        raise DensigraphError(f"{path}:1: expected the header {REMOVED_HEADER!r}")
-    return {line.split(",")[0] for line in lines[1:]}
+    if lines[:1] != [header]:
+        raise DensigraphError(f"{path}:1: expected the header {header!r}")
+    return lines[1:]
 
 
 def _decoded_frames(
@@ -202,7 +209,7 @@ def _decoded_frames(
         img = decode_image((cfg.data_root / rec.relative_path).read_bytes())
         if img is None:
             continue  # undecodable frames are quality-module territory
-        yield density_mod.Frame(rec.camera_id, rec.captured_at, img)
+        yield density_mod.Frame(rec.captured_at, img)
 
 
 def _safe_id(value: str) -> str:
@@ -292,7 +299,7 @@ def cmd_synth(cfg: Config, args) -> int:
     try:
         spec = synth.SceneSpec.from_json(text)
         _check_capture_grid(args, spec.frame_count)
-        frames = synth.frames_from_spec(spec, args.camera_id, args.t0, args.step)
+        frames = synth.frames_from_spec(spec, args.t0, args.step)
     except InvalidSpec as exc:
         raise InvalidSpec(f"{args.scene}: {exc}") from exc
     store = ingestion.FrameStore(cfg.data_root)
@@ -385,20 +392,20 @@ def cmd_density(cfg: Config, args) -> int:
     total = 0
     for camera_id, recs in by_camera.items():
         try:
-            records = density_mod.process_sequence(
+            trace = density_mod.process_sequence(
                 _decoded_frames(cfg, recs), z=cfg.window_z, tau=cfg.tau
             )
         except DensigraphError as exc:
             raise type(exc)(f"{args.city}/{camera_id}: {exc}") from exc
         out = cfg.data_root / args.city / "density" / f"{camera_id}.csv"
-        _atomic_write(out, density_mod.write_trace_csv(records))
-        total += len(records)
+        _atomic_write(out, density_mod.write_trace_csv(camera_id, trace))
+        total += len(trace)
     _log(f"density: {total} records across {len(by_camera)} cameras")
     return 0
 
 
-def _read_city_traces(cfg: Config, city: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each camera's (seconds, normalized) trace, in camera-id order."""
+def _read_city_traces(cfg: Config, city: str) -> dict[str, density_mod.Trace]:
+    """Each camera's trace, in camera-id order."""
     folder = cfg.data_root / city / "density"
     if not folder.exists():
         raise DensigraphError(f"run the density stage first: {folder} missing")
@@ -415,7 +422,7 @@ def _read_city_traces(cfg: Config, city: str) -> dict[str, tuple[np.ndarray, np.
     for p in paths:
         text = ingestion.read_utf8(p, CorruptTrace)
         try:
-            traces[p.stem] = density_mod.read_trace_csv(text)
+            traces[p.stem] = density_mod.read_trace_csv(text, p.stem)
         except ValueError as exc:
             raise CorruptTrace(f"{p}: {exc}") from exc
     return traces
@@ -423,7 +430,7 @@ def _read_city_traces(cfg: Config, city: str) -> dict[str, tuple[np.ndarray, np.
 
 def _subjects(city: str, traces: dict) -> list[tuple[str, np.ndarray]]:
     """Each camera's normalized sample, then the city's, pooled in camera order."""
-    samples = [(camera_id, values) for camera_id, (_, values) in traces.items()]
+    samples = [(camera_id, trace.normalized) for camera_id, trace in traces.items()]
     return samples + [(city, np.concatenate([values for _, values in samples]))]
 
 
@@ -474,10 +481,10 @@ def cmd_fit(cfg: Config, args) -> int:
 def cmd_lrd(cfg: Config, args) -> int:
     traces = _read_city_traces(cfg, args.city)
     out_dir = cfg.data_root / args.city / "lrd"
-    step = lrd.city_step(seconds for seconds, _ in traces.values())
+    step = lrd.city_step(trace.seconds for trace in traces.values())
     written = set()
-    for camera_id, (seconds, values) in traces.items():
-        segments = lrd.resample_locf(seconds, values, step) if step else []
+    for camera_id, trace in traces.items():
+        segments = lrd.resample_locf(trace.seconds, trace.normalized, step) if step else []
         _, series = max(segments, key=lambda seg: seg[1].size, default=(0, np.empty(0)))
         for method, estimator in (
             ("variance_time", lrd.variance_time_hurst),
@@ -492,9 +499,10 @@ def cmd_lrd(cfg: Config, args) -> int:
             _atomic_write(path, est.to_json(camera_id) + "\n")
             written.add(path)
     offset = cfg.tz_offsets.get(args.city, 0.0)
-    seconds, values = (np.concatenate(arrays) for arrays in zip(*traces.values()))
+    seconds = np.concatenate([trace.seconds for trace in traces.values()])
+    values = np.concatenate([trace.normalized for trace in traces.values()])
     buckets = lrd.bucket_hourly(seconds, values, offset)
-    lines = ["hour,mean_normalized,count"]
+    lines = [HOURLY_HEADER]
     lines += [f"{h},{mean:.6f},{count}" for h, mean, count in buckets]
     _atomic_write(out_dir / "hourly.csv", "\n".join(lines) + "\n")
     _remove_unwritten(out_dir, "*.json", written)
@@ -543,9 +551,7 @@ def cmd_report(cfg: Config, args) -> int:
         "city": args.city,
         "fits": fits,
         "hurst": hursts,
-        "hourly_profile": ingestion.read_utf8(hourly, DensigraphError).strip().splitlines()[1:]
-        if hourly.exists()
-        else [],
+        "hourly_profile": _rows_after_header(hourly, HOURLY_HEADER) if hourly.exists() else [],
     }
     _atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True) + "\n")
     for path, text in cdfs.items():

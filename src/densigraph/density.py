@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from itertools import islice
 from typing import Iterable
 
@@ -22,7 +22,7 @@ from .ingestion import format_rfc3339, parse_rfc3339
 
 __all__ = [
     "Frame",
-    "DensityRecord",
+    "Trace",
     "build_background",
     "process_sequence",
     "write_trace_csv",
@@ -32,31 +32,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Frame:
-    camera_id: str
     captured_at: datetime
     pixels: np.ndarray  # (height, width) uint8
 
 
-@dataclass(frozen=True)
-class DensityRecord:
-    camera_id: str
-    captured_at: datetime
-    raw_density: int
-    normalized: float
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """One camera's density trace: one row per frame, in capture order."""
+
+    seconds: np.ndarray  # int64 Unix seconds, each later than the one before
+    raw_density: np.ndarray  # int64 sum of the frame's high-pass image
+    normalized: np.ndarray  # float64 raw_density / (pixels * 255)
+
+    def __len__(self) -> int:
+        return self.seconds.size
 
 
-def _check_next(frame: Frame, prev: Frame) -> None:
-    """Refuse a frame that cannot follow ``prev`` in one camera's sequence."""
-    if frame.camera_id != prev.camera_id:
-        raise ShapeMismatch(f"mixed cameras {frame.camera_id!r} / {prev.camera_id!r}")
-    if frame.pixels.shape != prev.pixels.shape:
-        raise ShapeMismatch(
-            f"frame {frame.captured_at} shape {frame.pixels.shape} != {prev.pixels.shape}"
-        )
-    if frame.captured_at <= prev.captured_at:
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def _whole_second(t: datetime) -> int:
+    """Unix seconds of t as the frame store keeps it: UTC, microseconds dropped."""
+    return (t.astimezone(timezone.utc) - _EPOCH) // timedelta(seconds=1)
+
+
+def _check_next(frame: Frame, shape: tuple, after: float) -> int:
+    """The whole second of ``frame``. A shape other than ``shape`` raises
+    ShapeMismatch, and a second not later than ``after`` OutOfOrderTimestamp."""
+    if frame.pixels.shape != shape:
+        raise ShapeMismatch(f"frame {frame.captured_at} shape {frame.pixels.shape} != {shape}")
+    t = _whole_second(frame.captured_at)
+    if t <= after:
         raise OutOfOrderTimestamp(
-            f"{frame.camera_id}: frame {frame.captured_at} is not later than {prev.captured_at}"
+            f"frame {frame.captured_at} is not in a later second than the frame before it"
         )
+    return t
 
 
 def build_background(frames: Iterable[Frame], z: int) -> np.ndarray:
@@ -68,42 +78,38 @@ def build_background(frames: Iterable[Frame], z: int) -> np.ndarray:
     window = list(islice(frames, max(z, 0)))
     if z < 2 or len(window) < z:
         raise InsufficientFrames(f"need >= {max(z, 2)} frames, got {len(window)}")
-    for prev, frame in zip(window, window[1:]):
-        _check_next(frame, prev)
+    t = -math.inf
+    for frame in window:
+        t = _check_next(frame, window[0].pixels.shape, t)
     total = np.zeros(window[0].pixels.shape, dtype=np.int64)
     for frame in window:
         total += frame.pixels
     return total / z
 
 
-def _frame_density(frame: Frame, maps: kernels.HighpassMaps) -> DensityRecord:
-    d, _active = kernels.highpass_sum(frame.pixels, maps)
-    return DensityRecord(frame.camera_id, frame.captured_at, d, d / (frame.pixels.size * 255))
-
-
-def process_sequence(frames: Iterable[Frame], z: int, tau: float) -> list[DensityRecord]:
-    """Run the full density pipeline over frames in capture order.
+def process_sequence(frames: Iterable[Frame], z: int, tau: float) -> Trace:
+    """Run the full density pipeline over one camera's frames in capture order.
 
     The background is built once from the first z frames and held constant,
     and the kernel's maps are derived from it once, so each frame is scored
     in uint8. Only those z frames are held at once, so ``frames`` may be a
     generator that decodes one frame at a time. Each frame is checked
-    against the one before it: a different camera or shape raises
-    ShapeMismatch, and a capture time that is not later raises
-    OutOfOrderTimestamp.
+    against the one before it: a different shape raises ShapeMismatch, and
+    a capture time that is not in a later second raises OutOfOrderTimestamp.
     """
     frames = iter(frames)
     window = list(islice(frames, max(z, 0)))
-    # build_background raises InsufficientFrames if the window is short
+    # build_background raises InsufficientFrames if the window is short, and
+    # checks the window's shapes and capture order
     maps = kernels.highpass_maps(build_background(window, z), tau)
-    records = [_frame_density(frame, maps) for frame in window]
-    prev = window[-1]
+    seconds = [_whole_second(frame.captured_at) for frame in window]
+    raw = [kernels.highpass_sum(frame.pixels, maps)[0] for frame in window]
     del window  # from here on, one frame at a time
     for frame in frames:
-        _check_next(frame, prev)
-        records.append(_frame_density(frame, maps))
-        prev = frame
-    return records
+        seconds.append(_check_next(frame, maps.threshold.shape, seconds[-1]))
+        raw.append(kernels.highpass_sum(frame.pixels, maps)[0])
+    raw = np.array(raw, dtype=np.int64)
+    return Trace(np.array(seconds, dtype=np.int64), raw, raw / (maps.threshold.size * 255))
 
 
 # --- trace CSV (camera_id,captured_at,raw_density,normalized) ---
@@ -111,30 +117,32 @@ def process_sequence(frames: Iterable[Frame], z: int, tau: float) -> list[Densit
 TRACE_HEADER = "camera_id,captured_at,raw_density,normalized"
 
 
-def write_trace_csv(records: Iterable[DensityRecord]) -> str:
-    lines = [TRACE_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.camera_id},{format_rfc3339(r.captured_at)},{r.raw_density},{r.normalized:.6f}"
-        )
+def write_trace_csv(camera_id: str, trace: Trace) -> str:
+    rows = zip(trace.seconds.tolist(), trace.raw_density.tolist(), trace.normalized.tolist())
+    lines = [TRACE_HEADER] + [
+        f"{camera_id},{format_rfc3339(datetime.fromtimestamp(t, timezone.utc))},{d},{v:.6f}"
+        for t, d, v in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
-def _trace_row(line: str, prev: int | None) -> tuple[int, float]:
-    _cam, ts, d, norm = line.split(",")
+def _trace_row(line: str, camera_id: str, prev: int | None) -> tuple[int, int, float]:
+    cam, ts, d, norm = line.split(",")
+    if cam != camera_id:
+        raise ValueError(f"camera_id {cam!r} is not the trace's camera {camera_id!r}")
     t, raw, value = int(parse_rfc3339(ts).timestamp()), int(d), float(norm)
     if raw < 0 or not (math.isfinite(value) and value >= 0):
         raise ValueError("densities must be finite and >= 0")
     if prev is not None and t <= prev:
         raise ValueError("captured_at is not later than the row before")
-    return t, value
+    return t, raw, value
 
 
-def read_trace_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a trace written by write_trace_csv into (capture times as int64
-    Unix seconds, normalized densities): at least one row, each with finite
-    non-negative densities and later than the row before. A line that breaks
-    this raises ValueError naming its 1-based line number."""
+def read_trace_csv(text: str, camera_id: str) -> Trace:
+    """Parse camera_id's trace as write_trace_csv wrote it: at least one row,
+    each naming camera_id, with finite non-negative densities and later than
+    the row before. A line that breaks this raises ValueError naming its
+    1-based line number."""
     lines = text.rstrip().splitlines()
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError("line 1: not a density trace CSV header")
@@ -143,8 +151,8 @@ def read_trace_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
     rows = []
     for lineno, line in enumerate(lines[1:], 2):
         try:
-            rows.append(_trace_row(line, rows[-1][0] if rows else None))
+            rows.append(_trace_row(line, camera_id, rows[-1][0] if rows else None))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad trace row {line!r} ({exc})") from exc
-    seconds, values = zip(*rows)
-    return np.array(seconds, dtype=np.int64), np.array(values, dtype=np.float64)
+    seconds, raw, values = zip(*rows)
+    return Trace(np.array(seconds, np.int64), np.array(raw, np.int64), np.array(values))

@@ -169,20 +169,14 @@ def coverage_truth(spec: SceneSpec, t: int) -> float:
 
 
 def frames_from_spec(
-    spec: SceneSpec,
-    camera_id: str,
-    t0: datetime | None = None,
-    step_seconds: float = 60.0,
+    spec: SceneSpec, t0: datetime | None = None, step_seconds: float = 60.0
 ) -> Iterator[Frame]:
     """Render a spec into timestamped Frames on a regular capture grid, one
     at a time; the spec is validated on the call, as in render_scene_sequence."""
     if t0 is None:
         t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
     arrays = render_scene_sequence(spec)
-    return (
-        Frame(camera_id, t0 + timedelta(seconds=i * step_seconds), arr)
-        for i, arr in enumerate(arrays)
-    )
+    return (Frame(t0 + timedelta(seconds=i * step_seconds), arr) for i, arr in enumerate(arrays))
 
 
 def random_scene_spec(

@@ -35,10 +35,9 @@ def test_criterion_1_density_fidelity():
     worst = 1.0
     for seed in range(10):
         spec = synth.random_scene_spec(seed, width=100, height=100, frame_count=300)
-        frames = synth.frames_from_spec(spec, f"cam{seed}")
-        records = process_sequence(frames, z=100, tau=25)
+        frames = synth.frames_from_spec(spec)
+        norm = process_sequence(frames, z=100, tau=25).normalized
         cov = [synth.coverage_truth(spec, t) for t in range(300)]
-        norm = [r.normalized for r in records]
         worst = min(worst, float(np.corrcoef(norm, cov)[0, 1]))
     elapsed = time.perf_counter() - t0
     report(
@@ -50,7 +49,7 @@ def test_criterion_1_density_fidelity():
 
 def test_criterion_2_background_convergence():
     spec = _low_occlusion_spec(seed=11, frames=200)
-    frames = synth.frames_from_spec(spec, "cam1")
+    frames = synth.frames_from_spec(spec)
     bg = build_background(frames, z=100)
     err = float(np.abs(bg - 60.0).max())
     report(2, err <= 2.0, f"max background error {err:.3f} (<=2.0, occlusion <=5%)")
@@ -234,11 +233,10 @@ def test_criterion_10_diurnal_sanity():
 
     spec = synth.diurnal_scene_spec(10, frames_per_hour=30)
     frames = synth.frames_from_spec(
-        spec, "cam1", datetime(2024, 3, 1, tzinfo=timezone.utc), step_seconds=120.0
+        spec, datetime(2024, 3, 1, tzinfo=timezone.utc), step_seconds=120.0
     )
-    records = process_sequence(frames, z=100, tau=25)
-    seconds = np.array([int(r.captured_at.timestamp()) for r in records])
-    buckets = bucket_hourly(seconds, np.array([r.normalized for r in records]))
+    trace = process_sequence(frames, z=100, tau=25)
+    buckets = bucket_hourly(trace.seconds, trace.normalized)
     peak_8, peak_17 = buckets[8][1], buckets[17][1]
     mid = max(buckets[h][1] for h in (11, 12, 13))
     ok = peak_8 > mid and peak_17 > mid

@@ -221,8 +221,7 @@ class TestExitCodes:
             )
             assert out.returncode == 0, out.stderr
         text = (root / "c" / "density" / "cam\u6771.csv").read_text(encoding="utf-8")
-        seconds, _ = density.read_trace_csv(text)
-        assert seconds.size == 12
+        assert len(density.read_trace_csv(text, "cam\u6771")) == 12
         assert {row.split(",")[0] for row in text.splitlines()[1:]} == {"cam\u6771"}
 
     @pytest.mark.parametrize(
@@ -933,6 +932,18 @@ def stats_stages(root, city):
         run_ok("--set", f"data_root={root}", stage, "--city", city)
 
 
+@pytest.mark.parametrize("stage", ["fit", "lrd", "report"])
+def test_trace_rows_naming_another_camera_are_data_error(tmp_path, capsys, stage):
+    path = write_trace(tmp_path, "c", "c1", [0.1, 0.2, 0.3])
+    stats_stages(tmp_path, "c")
+    path.write_text(path.read_text().replace("c1,", "zz,"))
+    capsys.readouterr()
+    assert run(["--set", f"data_root={tmp_path}", stage, "--city", "c"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line 2: bad trace row" in err and "'zz' is not" in err
+    assert "Traceback" not in err
+
+
 def test_stats_stages_read_traces_in_camera_id_order(tmp_path):
     # "cam-1.csv" sorts before "cam.csv" as a path, but "cam" before "cam-1" as an id
     for camera_id in ("cam-1", "cam0", "cam"):
@@ -946,7 +957,9 @@ class TestCityGrid:
     def test_slow_camera_is_carried_forward_onto_the_city_step(self, tmp_path):
         rng = np.random.default_rng(14)
         fast, slow = (
-            density.read_trace_csv(write_trace(tmp_path, "c", camera_id, rng.random(n), step).read_text())[1]
+            density.read_trace_csv(
+                write_trace(tmp_path, "c", camera_id, rng.random(n), step).read_text(), camera_id
+            ).normalized
             for camera_id, n, step in (("fast", 3000, 60), ("slow", 600, 300))
         )
         run_ok("--set", f"data_root={tmp_path}", "lrd", "--city", "c")
@@ -1027,11 +1040,13 @@ class TestUnreadableStatsJson:
             ("fits/cam1.json", '{"candidates": [{"family": "exponential", "params": {"rate": -3}}]}'),
             ("fits/cam1.json", '{"candidates": [{"family": "normal", "params": {"mu": 0, "sigma": 0}}]}'),
             ("fits/cam1.json", '{"candidates": [{"family": "weibull", "params": {"shape": NaN, "scale": 1}}]}'),
+            ("lrd/hourly.csv", "garbage\n1,0.5,3\n"),
+            ("lrd/hourly.csv", ""),
         ],
         ids=[
             "torn", "no-candidates", "missing-param", "param-not-a-number", "unknown-family",
             "candidates-not-a-list", "not-an-object", "torn-hurst", "missing-file",
-            "rate-negative", "sigma-zero", "shape-nan",
+            "rate-negative", "sigma-zero", "shape-nan", "hourly-header", "hourly-empty",
         ],
     )
     def test_report_exits_2_naming_the_file(self, stats_root, capsys, name, text):

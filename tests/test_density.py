@@ -19,11 +19,16 @@ from densigraph.pgmio import to_grayscale
 T0 = datetime(2024, 3, 1, 8, 0, tzinfo=timezone.utc)
 
 
-def make_frames(arrays, camera="cam1"):
+def make_frames(arrays):
     return [
-        Frame(camera, T0 + timedelta(seconds=30 * i), np.asarray(a, dtype=np.uint8))
+        Frame(T0 + timedelta(seconds=30 * i), np.asarray(a, dtype=np.uint8))
         for i, a in enumerate(arrays)
     ]
+
+
+def assert_traces_equal(a, b):
+    for name in ("seconds", "raw_density", "normalized"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def gray(r, g, b):
@@ -91,7 +96,7 @@ class TestBuildBackground:
         # oracle: the scene's uniform true background; every pixel occluded
         # in at most 5% of the averaged frames
         spec = _low_occlusion_spec(seed=11, frames=200)
-        frames = synth.frames_from_spec(spec, "cam1")
+        frames = synth.frames_from_spec(spec)
         bg = build_background(frames, z=100)
         assert np.abs(bg - 60.0).max() <= 2.0
 
@@ -131,10 +136,10 @@ class TestHighPass:
 
 
 def last_record(img, z=2):
-    """The density record of ``img`` after z zero frames (a zero background)."""
+    """The density row of ``img`` after z zero frames (a zero background)."""
     img = np.asarray(img, dtype=np.uint8)
-    records = process_sequence(make_frames([np.zeros_like(img)] * z + [img]), z=z, tau=25)
-    return records[-1].raw_density, records[-1].normalized
+    trace = process_sequence(make_frames([np.zeros_like(img)] * z + [img]), z=z, tau=25)
+    return int(trace.raw_density[-1]), float(trace.normalized[-1])
 
 
 class TestDensity:
@@ -303,17 +308,16 @@ class TestKernelEdges:
 class TestProcessSequence:
     def test_identical_frames(self):
         img = np.full((10, 10), 90, dtype=np.uint8)
-        records = process_sequence(make_frames([img] * 150), z=100, tau=25)
-        assert len(records) == 150
-        assert all(r.raw_density == 0 and r.normalized == 0.0 for r in records)
+        trace = process_sequence(make_frames([img] * 150), z=100, tau=25)
+        assert len(trace) == 150
+        assert not trace.raw_density.any() and not trace.normalized.any()
 
     def test_correlates_with_coverage(self):
         spec = synth.random_scene_spec(3)
-        frames = synth.frames_from_spec(spec, "cam1")
-        records = process_sequence(frames, z=100, tau=25)
+        frames = synth.frames_from_spec(spec)
+        trace = process_sequence(frames, z=100, tau=25)
         cov = [synth.coverage_truth(spec, t) for t in range(spec.frame_count)]
-        norm = [r.normalized for r in records]
-        assert np.corrcoef(norm, cov)[0, 1] >= 0.95
+        assert np.corrcoef(trace.normalized, cov)[0, 1] >= 0.95
 
     def test_monotone_vehicles_monotone_density(self):
         # paint 0..49 disjoint rectangles over a constant background
@@ -324,26 +328,25 @@ class TestProcessSequence:
             for v in range(count):
                 img[(v // 10) * 6 : (v // 10) * 6 + 5, (v % 10) * 6 : (v % 10) * 6 + 5] = 200
             arrays.append(img)
-        records = process_sequence(make_frames(arrays), z=10, tau=25)
-        norm = [r.normalized for r in records]
+        norm = process_sequence(make_frames(arrays), z=10, tau=25).normalized
         eps = 1 / (60 * 60 * 255)
         assert all(b >= a - eps for a, b in zip(norm, norm[1:]))
 
     def test_deterministic(self):
         spec = synth.random_scene_spec(9, frame_count=120)
-        frames = list(synth.frames_from_spec(spec, "cam1"))
+        frames = list(synth.frames_from_spec(spec))
         r1 = process_sequence(frames, z=100, tau=25)
         r2 = process_sequence(frames, z=100, tau=25)
-        assert r1 == r2
+        assert_traces_equal(r1, r2)
 
     def test_trace_bytes_pinned(self):
         # an even z puts backgrounds on ties n + 0.5; the digest is the trace
         # as the float64 definition of the kernel wrote it
         spec = synth.random_scene_spec(21, width=64, height=48, frame_count=60)
-        frames = list(synth.frames_from_spec(spec, "cam1"))
+        frames = list(synth.frames_from_spec(spec))
         bg = build_background(frames, z=10)
         assert np.count_nonzero(bg % 1 == 0.5) > 100
-        text = write_trace_csv(process_sequence(frames, z=10, tau=25))
+        text = write_trace_csv("cam1", process_sequence(frames, z=10, tau=25))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "2cc53f712c83c3676799bf61e92476f88381150f2444ee6aafcda4e77977bea7"
         )
@@ -354,9 +357,9 @@ class TestProcessSequence:
 
     def test_generator_equals_list(self):
         spec = synth.random_scene_spec(4, frame_count=130)
-        frames = list(synth.frames_from_spec(spec, "cam1"))
+        frames = list(synth.frames_from_spec(spec))
         streamed = process_sequence((f for f in frames), z=100, tau=25)
-        assert streamed == process_sequence(frames, z=100, tau=25)
+        assert_traces_equal(streamed, process_sequence(frames, z=100, tau=25))
         assert len(streamed) == 130
 
     def test_holds_at_most_z_frames(self):
@@ -366,7 +369,7 @@ class TestProcessSequence:
         def stream():
             nonlocal peak
             for i in range(40):
-                frame = Frame("cam1", T0 + timedelta(seconds=i), np.full((4, 4), i, np.uint8))
+                frame = Frame(T0 + timedelta(seconds=i), np.full((4, 4), i, np.uint8))
                 refs.append(weakref.ref(frame))
                 peak = max(peak, sum(r() is not None for r in refs))
                 yield frame
@@ -375,16 +378,22 @@ class TestProcessSequence:
         assert peak <= 5
 
     @pytest.mark.parametrize(
-        "at,equal",
-        [(3, False), (8, False), (3, True), (8, True)],
-        ids=["in_window", "after_window", "in_window-equal", "after_window-equal"],
+        "at,microseconds",
+        [(3, None), (8, None), (3, 0), (8, 0), (3, 100), (8, 100)],
+        ids=[
+            "in_window", "after_window", "in_window-equal", "after_window-equal",
+            "in_window-same-second", "after_window-same-second",
+        ],
     )
-    def test_backwards_timestamp_raises(self, at, equal):
+    def test_backwards_timestamp_raises(self, at, microseconds):
+        # frame ``at`` is swapped with the one before it, or captured this many
+        # microseconds after it; the trace holds whole seconds, as the store does
         frames = make_frames(np.zeros((10, 2, 2)))
-        if equal:
-            frames[at] = Frame(frames[at].camera_id, frames[at - 1].captured_at, frames[at].pixels)
-        else:
+        if microseconds is None:
             frames[at], frames[at - 1] = frames[at - 1], frames[at]
+        else:
+            later = frames[at - 1].captured_at + timedelta(microseconds=microseconds)
+            frames[at] = Frame(later, frames[at].pixels)
         with pytest.raises(OutOfOrderTimestamp):
             process_sequence(frames, z=5, tau=25)
 
@@ -393,22 +402,39 @@ class TestProcessSequence:
         with pytest.raises(ShapeMismatch, match=r"\(4, 5\)"):
             process_sequence(make_frames(arrays), z=5, tau=25)
 
-    def test_camera_change_after_window_raises(self):
-        frames = make_frames([np.zeros((2, 2))] * 6)
-        frames[5] = Frame("cam2", frames[5].captured_at, frames[5].pixels)
-        with pytest.raises(ShapeMismatch, match="mixed cameras"):
-            process_sequence(frames, z=5, tau=25)
+    def test_microseconds_are_dropped(self):
+        start = datetime(1969, 12, 31, 23, 59, 58, 999_999, tzinfo=timezone.utc)
+        frames = [
+            Frame(start + timedelta(seconds=i), np.zeros((2, 2), np.uint8)) for i in range(3)
+        ]
+        assert process_sequence(frames, z=2, tau=25).seconds.tolist() == [-2, -1, 0]
 
 
 class TestTraceCsv:
     def test_round_trip_and_format(self):
         img = np.zeros((10, 10), dtype=np.uint8)
         img[0, 0] = 200
-        records = process_sequence(make_frames([img] * 2 + [img] * 1), z=2, tau=25)
-        text = write_trace_csv(records)
+        trace = process_sequence(make_frames([img] * 2 + [img] * 1), z=2, tau=25)
+        text = write_trace_csv("cam1", trace)
         assert text.splitlines()[0] == "camera_id,captured_at,raw_density,normalized"
-        assert "2024-03-01T08:00:00Z" in text
-        seconds, normalized = read_trace_csv(text)
-        assert seconds.dtype == np.int64 and normalized.dtype == np.float64
-        assert seconds.tolist() == [int(r.captured_at.timestamp()) for r in records]
-        assert normalized.tolist() == [float(f"{r.normalized:.6f}") for r in records]
+        assert text.splitlines()[1] == "cam1,2024-03-01T08:00:00Z,0,0.000000"
+        back = read_trace_csv(text, "cam1")
+        assert back.seconds.dtype == back.raw_density.dtype == np.int64
+        assert back.normalized.dtype == np.float64
+        assert back.seconds.tolist() == [int(T0.timestamp()) + 30 * i for i in range(3)]
+        assert back.normalized.tolist() == [float(f"{v:.6f}") for v in trace.normalized]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_round_trip_on_seeded_scenes(self, seed):
+        spec = synth.random_scene_spec(seed, width=64, height=48, frame_count=60)
+        trace = process_sequence(synth.frames_from_spec(spec), z=10, tau=25)
+        back = read_trace_csv(write_trace_csv("cam1", trace), "cam1")
+        assert np.array_equal(back.seconds, trace.seconds)
+        assert np.array_equal(back.raw_density, trace.raw_density)
+        assert np.abs(back.normalized - trace.normalized).max() <= 5e-7
+
+    def test_normalized_equals_per_frame_division(self):
+        spec = synth.random_scene_spec(6, width=64, height=48, frame_count=60)
+        trace = process_sequence(synth.frames_from_spec(spec), z=10, tau=25)
+        per_frame = [d / (64 * 48 * 255) for d in trace.raw_density.tolist()]
+        assert trace.normalized.tolist() == per_frame

@@ -185,10 +185,8 @@ class TestBucketHourly:
         from densigraph.density import process_sequence
 
         spec = synth.diurnal_scene_spec(40, frames_per_hour=30)
-        frames = synth.frames_from_spec(spec, "cam1", T0, step_seconds=120.0)
-        records = process_sequence(frames, z=100, tau=25)
-        seconds = np.array([int(r.captured_at.timestamp()) for r in records])
-        buckets = bucket_hourly(seconds, np.array([r.normalized for r in records]))
+        trace = process_sequence(synth.frames_from_spec(spec, T0, step_seconds=120.0), 100, 25)
+        buckets = bucket_hourly(trace.seconds, trace.normalized)
         mid = [buckets[h][1] for h in (11, 12, 13)]
         assert buckets[8][1] > max(mid)
         assert buckets[17][1] > max(mid)

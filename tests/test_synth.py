@@ -48,7 +48,7 @@ class TestRenderScene:
         float_frame = 640 * 480 * 8
         tracemalloc.start()
         try:
-            count = sum(1 for _ in synth.frames_from_spec(spec, "cam1"))
+            count = sum(1 for _ in synth.frames_from_spec(spec))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -60,7 +60,7 @@ class TestRenderScene:
         with pytest.raises(InvalidSpec):
             synth.render_scene_sequence(plain_spec([ev]))
         with pytest.raises(InvalidSpec):
-            synth.frames_from_spec(plain_spec([ev]), "cam1")
+            synth.frames_from_spec(plain_spec([ev]))
 
     def test_intensity_too_close_to_background(self):
         ev = synth.VehicleEvent(0, 5, 0, 0, 10, 10, 65)
