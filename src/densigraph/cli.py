@@ -45,6 +45,7 @@ from .pgmio import decode_image, write_p5
 USAGE_ERROR = 1
 DATA_ERROR = 2
 REMOVED_HEADER = "relative_path,reason"
+REMOVAL_REASONS = ("ZeroSize", "DecodeError", "Duplicate", "ClusterOutlier")
 HOURLY_HEADER = "hour,mean_normalized,count"
 
 
@@ -185,31 +186,71 @@ def _stored_records(cfg: Config, city: str) -> list[ingestion.ManifestRecord]:
     return records
 
 
+def _removed_row(line: str) -> str:
+    """The relative_path of a removed.csv row ``relative_path,reason``."""
+    path, _, reason = line.partition(",")
+    if not path or reason not in REMOVAL_REASONS:
+        raise ValueError(f"expected relative_path,reason with a reason in {REMOVAL_REASONS}")
+    return path
+
+
 def _removed_paths(cfg: Config, city: str) -> set[str]:
     path = cfg.data_root / city / "removed.csv"
     if not path.exists():
         return set()
-    return {line.split(",")[0] for line in _rows_after_header(path, REMOVED_HEADER)}
+    return set(_rows_after_header(path, REMOVED_HEADER, _removed_row))
 
 
-def _rows_after_header(path: Path, header: str) -> list[str]:
-    """The lines of a CSV side file after its header. A first line other than
-    ``header`` is a data error naming ``path:1``."""
+def _hourly_row(line: str) -> str:
+    """An lrd/hourly.csv row: an hour 0-23, a finite mean >= 0 and a count
+    >= 0. lrd writes all 24 hours, and an hour without records as count 0
+    with mean 0."""
+    cells = line.split(",")
+    if len(cells) == 3 and all(c.isascii() and c.isdigit() for c in cells[::2]):
+        hour, mean, count = int(cells[0]), float(cells[1]), int(cells[2])
+        if hour <= 23 and math.isfinite(mean) and mean >= 0 and (count or mean == 0):
+            return line
+    raise ValueError("expected an hour 0-23, a finite mean >= 0 and a count >= 0 (0 only with mean 0)")
+
+
+def _rows_after_header(path: Path, header: str, check) -> list:
+    """Each line of a CSV side file after its header, as ``check`` returns
+    it. A first line other than ``header``, or a line that ``check`` refuses
+    with ValueError, is a data error naming ``path`` and the line."""
     lines = ingestion.read_utf8(path, DensigraphError).splitlines()
     if lines[:1] != [header]:
         raise DensigraphError(f"{path}:1: expected the header {header!r}")
-    return lines[1:]
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            rows.append(check(line))
+        except ValueError as exc:
+            raise DensigraphError(f"{path}:{lineno}: bad row {line!r} ({exc})") from exc
+    return rows
 
 
-def _decoded_frames(
-    cfg: Config, records: list[ingestion.ManifestRecord]
-) -> Iterator[density_mod.Frame]:
-    """Read and decode one stored frame at a time, in the records' order."""
-    for rec in records:
-        img = decode_image((cfg.data_root / rec.relative_path).read_bytes())
-        if img is None:
-            continue  # undecodable frames are quality-module territory
-        yield density_mod.Frame(rec.captured_at, img)
+def _read_frame(path: str) -> bytes:
+    """A stored frame's bytes, read by a plain str path, which costs less
+    per file than Path.read_bytes."""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+class _StoredFrames:
+    """One camera's decodable stored frames, in the records' order. Each
+    iteration starts again at the first record and reads and decodes one
+    frame at a time, so density.process_sequence can read the window twice
+    while holding a single decoded frame."""
+
+    def __init__(self, root: str, records: list[ingestion.ManifestRecord]):
+        self._files = [(os.path.join(root, rec.relative_path), rec.captured_at) for rec in records]
+
+    def __iter__(self) -> Iterator[density_mod.Frame]:
+        for path, captured_at in self._files:
+            img = decode_image(_read_frame(path))
+            if img is None:
+                continue  # undecodable frames are quality-module territory
+            yield density_mod.Frame(captured_at, img)
 
 
 def _safe_id(value: str) -> str:
@@ -336,6 +377,7 @@ def cmd_clean(cfg: Config, args) -> int:
     reasons: dict[str, str | None] = {}
     # kept frames' feature rows, computed only for the cluster model
     features: dict[str, np.ndarray] = {}
+    root = os.fspath(cfg.data_root)
     for rec in _stored_records(cfg, args.city):
         path, reason = rec.relative_path, None
         if rec.status == "failed":
@@ -343,7 +385,7 @@ def cmd_clean(cfg: Config, args) -> int:
         elif rec.status == "duplicate":
             reason = "Duplicate"
         else:
-            data = (cfg.data_root / path).read_bytes()
+            data = _read_frame(os.path.join(root, path))
             img = decode_image(data) if data else None
             if img is None:
                 reason = "DecodeError" if data else "ZeroSize"
@@ -389,11 +431,11 @@ def cmd_density(cfg: Config, args) -> int:
         if rec.status == "stored" and rec.relative_path not in removed:
             kept.append(rec)
 
-    total = 0
+    root, total = os.fspath(cfg.data_root), 0
     for camera_id, recs in by_camera.items():
         try:
             trace = density_mod.process_sequence(
-                _decoded_frames(cfg, recs), z=cfg.window_z, tau=cfg.tau
+                _StoredFrames(root, recs), z=cfg.window_z, tau=cfg.tau
             )
         except DensigraphError as exc:
             raise type(exc)(f"{args.city}/{camera_id}: {exc}") from exc
@@ -551,7 +593,9 @@ def cmd_report(cfg: Config, args) -> int:
         "city": args.city,
         "fits": fits,
         "hurst": hursts,
-        "hourly_profile": _rows_after_header(hourly, HOURLY_HEADER) if hourly.exists() else [],
+        "hourly_profile": (
+            _rows_after_header(hourly, HOURLY_HEADER, _hourly_row) if hourly.exists() else []
+        ),
     }
     _atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True) + "\n")
     for path, text in cdfs.items():

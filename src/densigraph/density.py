@@ -74,39 +74,49 @@ def build_background(frames: Iterable[Frame], z: int) -> np.ndarray:
 
     The frames are summed as integers, which float64 holds exactly, and
     divided once, so the result equals the float64 mean of their stack.
+    One frame is held at a time. A window shorter than z raises
+    InsufficientFrames even when a frame in it also fails a shape or
+    capture-order check; otherwise that check's error is raised.
     """
-    window = list(islice(frames, max(z, 0)))
-    if z < 2 or len(window) < z:
-        raise InsufficientFrames(f"need >= {max(z, 2)} frames, got {len(window)}")
-    t = -math.inf
-    for frame in window:
-        t = _check_next(frame, window[0].pixels.shape, t)
-    total = np.zeros(window[0].pixels.shape, dtype=np.int64)
-    for frame in window:
-        total += frame.pixels
+    total, count, fault, t = None, 0, None, -math.inf
+    for frame in islice(frames, max(z, 0)):
+        count += 1
+        if total is None:
+            total = np.zeros(frame.pixels.shape, dtype=np.int64)
+        if fault is None:
+            try:
+                t = _check_next(frame, total.shape, t)
+            except (ShapeMismatch, OutOfOrderTimestamp) as exc:
+                fault = exc
+                continue
+            total += frame.pixels
+    if z < 2 or count < z:
+        raise InsufficientFrames(f"need >= {max(z, 2)} frames, got {count}")
+    if fault is not None:
+        raise fault
     return total / z
 
 
 def process_sequence(frames: Iterable[Frame], z: int, tau: float) -> Trace:
     """Run the full density pipeline over one camera's frames in capture order.
 
-    The background is built once from the first z frames and held constant,
-    and the kernel's maps are derived from it once, so each frame is scored
-    in uint8. Only those z frames are held at once, so ``frames`` may be a
-    generator that decodes one frame at a time. Each frame is checked
-    against the one before it: a different shape raises ShapeMismatch, and
-    a capture time that is not in a later second raises OutOfOrderTimestamp.
+    ``frames`` is read twice, so it must be re-iterable (a list, or an
+    object whose ``__iter__`` starts again at frame 0); an iterator raises
+    TypeError. The first pass builds the background from the first z
+    frames, and the kernel's maps from it once, so each frame is scored in
+    uint8. The second pass starts again at frame 0 and scores every frame.
+    One frame is held at a time, so each iteration may decode as it goes.
+    Each frame is checked against the one before it: a different shape
+    raises ShapeMismatch, and a capture time that is not in a later second
+    raises OutOfOrderTimestamp.
     """
-    frames = iter(frames)
-    window = list(islice(frames, max(z, 0)))
-    # build_background raises InsufficientFrames if the window is short, and
-    # checks the window's shapes and capture order
-    maps = kernels.highpass_maps(build_background(window, z), tau)
-    seconds = [_whole_second(frame.captured_at) for frame in window]
-    raw = [kernels.highpass_sum(frame.pixels, maps)[0] for frame in window]
-    del window  # from here on, one frame at a time
+    if iter(frames) is frames:
+        raise TypeError("process_sequence reads frames twice: pass a re-iterable, not an iterator")
+    maps = kernels.highpass_maps(build_background(frames, z), tau)
+    seconds, raw, t = [], [], -math.inf
     for frame in frames:
-        seconds.append(_check_next(frame, maps.threshold.shape, seconds[-1]))
+        t = _check_next(frame, maps.threshold.shape, t)
+        seconds.append(t)
         raw.append(kernels.highpass_sum(frame.pixels, maps)[0])
     raw = np.array(raw, dtype=np.int64)
     return Trace(np.array(seconds, dtype=np.int64), raw, raw / (maps.threshold.size * 255))

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -168,15 +168,31 @@ def coverage_truth(spec: SceneSpec, t: int) -> float:
     return int(mask.sum()) / (spec.width * spec.height)
 
 
+@dataclass(frozen=True)
+class _SpecFrames:
+    """A spec's timestamped Frames on a regular capture grid. Each iteration
+    renders them again from the seed, one at a time, so the sequence can be
+    read more than once (as density.process_sequence reads it)."""
+
+    spec: SceneSpec
+    t0: datetime
+    step_seconds: float
+
+    def __iter__(self) -> Iterator[Frame]:
+        for i, arr in enumerate(render_scene_sequence(self.spec)):
+            yield Frame(self.t0 + timedelta(seconds=i * self.step_seconds), arr)
+
+
 def frames_from_spec(
     spec: SceneSpec, t0: datetime | None = None, step_seconds: float = 60.0
-) -> Iterator[Frame]:
+) -> Iterable[Frame]:
     """Render a spec into timestamped Frames on a regular capture grid, one
-    at a time; the spec is validated on the call, as in render_scene_sequence."""
+    at a time on each iteration; the spec is validated on the call, as in
+    render_scene_sequence."""
+    spec.validate()
     if t0 is None:
         t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
-    arrays = render_scene_sequence(spec)
-    return (Frame(t0 + timedelta(seconds=i * step_seconds), arr) for i, arr in enumerate(arrays))
+    return _SpecFrames(spec, t0, step_seconds)
 
 
 def random_scene_spec(

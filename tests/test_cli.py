@@ -281,7 +281,7 @@ def random_frames(seed, count, shape=(8, 8)):
 
 def hand_densities(arrays, z, tau):
     """Oracle: raw densities against the mean of the first z frames, by hand."""
-    bg = np.stack(arrays[:z]).astype(np.float64).mean(axis=0)
+    bg = np.stack(arrays[:z]).mean(axis=0, dtype=np.float64)
     expected = []
     for a in arrays:
         diff = a - bg
@@ -358,6 +358,27 @@ class TestCleanStage:
         run_ok("--set", f"data_root={root}", "clean", "--city", "testcity")
         assert len(removed_rows(root)) == 4
 
+    def test_reads_each_stored_frame_once_by_its_path(self, tmp_path, monkeypatch):
+        root = tmp_path / "data"
+        cam1, cam2 = dirty_city(root)
+        reads, decodes = [], []
+        read, decode = cli._read_frame, cli.decode_image
+
+        def tracked_read(path):
+            reads.append(path)
+            return read(path)
+
+        def tracked_decode(data):
+            decodes.append(len(data))
+            return decode(data)
+
+        monkeypatch.setattr(cli, "_read_frame", tracked_read)
+        monkeypatch.setattr(cli, "decode_image", tracked_decode)
+        run_ok("--set", f"data_root={root}", "clean", "--city", "testcity")
+        stored = [p for i, p in enumerate(cam1) if i not in (11, 12)] + cam2  # duplicate, failed
+        assert reads == [os.path.join(root, p) for p in stored]
+        assert len(decodes) == len(stored) - 1  # the emptied file is not decoded
+
 
 class TestDensityStage:
     def test_scans_manifest_once(self, tmp_path, monkeypatch):
@@ -388,9 +409,9 @@ class TestDensityStage:
         run_ok("--set", f"data_root={root}", "--set", f"window_z={z}", "density", "--city", "testcity")
         assert trace_densities(root, "cam1") == hand_densities(arrays, z, tau)
 
-    def test_one_thread_holds_at_most_z_plus_one_frames(self, tmp_path, monkeypatch):
-        z, tau = 3, 25.0
-        arrays = {f"cam{i}": random_frames(i, 6, shape=(480, 640)) for i in range(3)}
+    def test_one_thread_holds_at_most_two_decoded_frames(self, tmp_path, monkeypatch):
+        z, tau, count = 50, 25.0, 52
+        arrays = {f"cam{i}": random_frames(i, count, shape=(480, 640)) for i in range(3)}
         root = tmp_path / "data"
         store_city(root, {cam: map(write_p5, frames) for cam, frames in arrays.items()})
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -410,7 +431,8 @@ class TestDensityStage:
 
         monkeypatch.setattr(cli, "decode_image", tracked_decode)
         run_ok("--set", f"data_root={root}", "--set", f"window_z={z}", "density", "--city", "testcity")
-        assert len(refs) == 18 and peak <= z + 1
+        # each camera decodes its window twice: once for the background, once to score it
+        assert peak <= 2 and len(refs) == 3 * (count + z)
         for cam, frames in arrays.items():
             assert trace_densities(root, cam) == hand_densities(frames, z, tau)
 
@@ -875,6 +897,22 @@ class TestCorruptInputs:
         assert f"{removed}:1: expected the header" in err and "Traceback" not in err
         assert not (corpus / "sydney" / "density").exists()
 
+    @pytest.mark.parametrize(
+        "row",
+        ["garbage", "PATH,NotAReason", ",Duplicate", "PATH,Duplicate,extra", "", "PATH,duplicate"],
+        ids=["no-reason", "unknown-reason", "no-path", "three-fields", "blank", "lowercase-reason"],
+    )
+    def test_bad_removed_csv_row_is_data_error(self, corpus, capsys, row):
+        run_ok("--set", f"data_root={corpus}", "clean", "--city", "sydney")
+        removed = corpus / "sydney" / "removed.csv"
+        first, second = (r.relative_path for r in ingestion.scan_manifest(corpus, city="sydney")[:2])
+        bad = row.replace("PATH", second)
+        removed.write_text(f"relative_path,reason\n{first},Duplicate\n{bad}\n")
+        assert run(["--set", f"data_root={corpus}", "density", "--city", "sydney"]) == 2
+        err = capsys.readouterr().err
+        assert f"{removed}:3: bad row {bad!r}" in err and "Traceback" not in err
+        assert not (corpus / "sydney" / "density").exists()
+
     def test_torn_labels_json_is_data_error(self, corpus, tmp_path, capsys):
         labels = tmp_path / "labels.json"
         labels.write_text('[\n {"relative_path": "sydney/a.pgm",\n  "lab')
@@ -1061,6 +1099,40 @@ class TestUnreadableStatsJson:
         assert str(path) in err and "Traceback" not in err
         assert not (stats_root / "c" / "report").exists()
 
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "garbage,x", "24,0.500000,3", "-1,0.500000,3", " 1,0.500000,3", "1,nan,3",
+            "1,inf,3", "1,-0.500000,3", "1,0.500000,-1", "1,0.500000,x", "1,0.500000,0",
+            "1,0.500000", "1,0.500000,3,4", "",
+        ],
+        ids=[
+            "garbage", "hour-24", "hour-negative", "hour-space", "mean-nan", "mean-inf",
+            "mean-negative", "count-negative", "count-text", "count-0-mean-not-0",
+            "two-fields", "four-fields", "blank",
+        ],
+    )
+    def test_bad_hourly_row_is_data_error_naming_its_line(self, stats_root, capsys, row):
+        path = stats_root / "c" / "lrd" / "hourly.csv"
+        lines = path.read_text().splitlines()
+        assert len(lines) == 25 and lines[6].startswith("5,")
+        lines[6] = row
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["--set", f"data_root={stats_root}", "report", "--city", "c"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:7: bad row {row!r}" in err and "Traceback" not in err
+        assert not (stats_root / "c" / "report").exists()
+
+    def test_hourly_rows_as_lrd_writes_them_are_bundled(self, tmp_path):
+        # 300 rows a minute apart leave most hours without records
+        write_trace(tmp_path, "c", "cam1", np.random.default_rng(14).random(300))
+        stats_stages(tmp_path, "c")
+        rows = (tmp_path / "c" / "lrd" / "hourly.csv").read_text().splitlines()[1:]
+        assert len(rows) == 24 and "0,0.000000,0" in rows
+        summary = json.loads((tmp_path / "c" / "report" / "summary.json").read_text())
+        assert summary["hourly_profile"] == rows
 
     @pytest.mark.parametrize(
         "name,stage",

@@ -26,6 +26,16 @@ def make_frames(arrays):
     ]
 
 
+class Reiterable:
+    """Frames from a fresh ``make_iter()`` on each iteration."""
+
+    def __init__(self, make_iter):
+        self.make_iter = make_iter
+
+    def __iter__(self):
+        return self.make_iter()
+
+
 def assert_traces_equal(a, b):
     for name in ("seconds", "raw_density", "normalized"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -70,6 +80,11 @@ class TestBuildBackground:
     def test_too_few_frames(self):
         with pytest.raises(InsufficientFrames):
             build_background(make_frames([np.zeros((2, 2))]), z=2)
+
+    def test_short_window_with_a_bad_frame_is_too_few_frames(self):
+        frames = make_frames([np.zeros((2, 2)), np.zeros((3, 3))])
+        with pytest.raises(InsufficientFrames, match="need >= 3 frames, got 2"):
+            build_background(frames, z=3)
 
     def test_shape_mismatch(self):
         frames = make_frames([np.zeros((2, 2)), np.zeros((3, 3))])
@@ -358,7 +373,7 @@ class TestProcessSequence:
     def test_generator_equals_list(self):
         spec = synth.random_scene_spec(4, frame_count=130)
         frames = list(synth.frames_from_spec(spec))
-        streamed = process_sequence((f for f in frames), z=100, tau=25)
+        streamed = process_sequence(Reiterable(lambda: (f for f in frames)), z=100, tau=25)
         assert_traces_equal(streamed, process_sequence(frames, z=100, tau=25))
         assert len(streamed) == 130
 
@@ -374,8 +389,17 @@ class TestProcessSequence:
                 peak = max(peak, sum(r() is not None for r in refs))
                 yield frame
 
-        assert len(process_sequence(stream(), z=5, tau=25)) == 40
-        assert peak <= 5
+        assert len(process_sequence(Reiterable(stream), z=5, tau=25)) == 40
+        # the window is read twice, one frame at a time
+        assert peak <= 2 and len(refs) == 45
+
+    @pytest.mark.parametrize(
+        "one_shot", [iter, lambda frames: (f for f in frames)], ids=["iter", "generator"]
+    )
+    def test_one_shot_iterator_raises(self, one_shot):
+        frames = make_frames(np.zeros((6, 2, 2)))
+        with pytest.raises(TypeError, match="re-iterable"):
+            process_sequence(one_shot(frames), z=5, tau=25)
 
     @pytest.mark.parametrize(
         "at,microseconds",

@@ -55,6 +55,16 @@ class TestRenderScene:
         assert count == 60
         assert peak < 4 * float_frame, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_frames_are_the_same_on_every_iteration(self):
+        spec = synth.random_scene_spec(4, width=32, height=24, frame_count=20)
+        frames = synth.frames_from_spec(spec, step_seconds=30.0)
+        first, second = list(frames), list(frames)
+        assert len(first) == len(second) == 20
+        for a, b in zip(first, second):
+            assert a.captured_at == b.captured_at and np.array_equal(a.pixels, b.pixels)
+        rendered = list(synth.render_scene_sequence(spec))
+        assert all(np.array_equal(f.pixels, r) for f, r in zip(first, rendered))
+
     def test_invalid_rectangle(self):
         ev = synth.VehicleEvent(0, 5, 95, 95, 10, 10, 200)
         with pytest.raises(InvalidSpec):
