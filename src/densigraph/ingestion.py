@@ -11,10 +11,11 @@ import hashlib
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, time, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     CorruptCatalog,
@@ -86,7 +87,7 @@ class CameraMeta:
             raise ValueError("daylight window start must precede end")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifestRecord:
     camera_id: str
     captured_at: datetime
@@ -102,13 +103,21 @@ class ManifestRecord:
 
     @staticmethod
     def from_json(line: str) -> "ManifestRecord":
-        """The record of one manifest line; keys that are not fields are ignored."""
+        """The record of one manifest line; keys that are not fields are ignored.
+
+        camera_id and status repeat on every line, so a record holds the
+        interned string, not a copy of its own.
+        """
         obj = json.loads(line)
         obj["captured_at"] = parse_rfc3339(obj["captured_at"])
+        for name in _SHARED_FIELDS:
+            if type(obj.get(name)) is str:
+                obj[name] = sys.intern(obj[name])
         return ManifestRecord(*[obj[name] for name in _RECORD_FIELDS])
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(ManifestRecord))
+_SHARED_FIELDS = ("camera_id", "status")
 STATUSES = ("stored", "duplicate", "failed")
 EXTENSIONS = ("pgm", "png", "jpg", "bin")  # every extension sniff_extension gives
 
@@ -126,7 +135,10 @@ def parse_rfc3339(text: str) -> datetime:
     fields = _RFC3339_FIELDS.fullmatch(text)
     if fields is None:
         raise ValueError(f"not an RFC 3339 UTC timestamp: {text!r}")
-    return datetime(*map(int, fields.groups()), tzinfo=timezone.utc)
+    # unpacked: datetime(*map(...)) left one block per call on the tuple free
+    # list, up to 2,000, which tracemalloc counts as held
+    year, month, day, hour, minute, second = map(int, fields.groups())
+    return datetime(year, month, day, hour, minute, second, tzinfo=timezone.utc)
 
 
 class Skip(NamedTuple):
@@ -172,7 +184,8 @@ class FrameStore:
     whole second than the last frame stored for its (city, camera_id), the
     resolution of both the layout path and the manifest. A city's manifest
     is read on the first store into that city, so other cities' manifests
-    are never parsed.
+    are never parsed. The store keeps each camera's last timestamp, last
+    stored hash and last day directory, never the manifest's records.
     """
 
     def __init__(self, root: str | Path):
@@ -180,14 +193,35 @@ class FrameStore:
         self._scanned: set[str] = set()
         self._last_ts: dict[tuple[str, str], datetime] = {}
         self._last_hash: dict[tuple[str, str], str] = {}
+        self._last_dir: dict[tuple[str, str], str] = {}
 
     def _resume(self, city: str) -> None:
-        """Pick up each camera's last timestamp and hash from city's manifest."""
-        if (self.root / city / "manifest.jsonl").exists():
-            for rec in scan_manifest(self.root, city=city):
-                self._last_ts[city, rec.camera_id] = rec.captured_at
-                if rec.status == "stored":
-                    self._last_hash[city, rec.camera_id] = rec.content_hash
+        """Pick up each camera's last timestamp and hash from city's manifest.
+
+        Of two records of one camera in the same second, the later line wins.
+        A manifest whose last line has no newline raises CorruptManifest: a
+        record appended to it would join that line.
+        """
+        manifest = self.root / city / "manifest.jsonl"
+        last_ts: dict[tuple[str, str], datetime] = {}
+        last_stored: dict[tuple[str, str], tuple[datetime, str]] = {}
+        if manifest.exists():
+            lineno, ended = 0, True
+            for lineno, ended, rec in _read_manifest(manifest, city):
+                if rec is None:
+                    continue
+                key = (city, rec.camera_id)
+                if key not in last_ts or rec.captured_at >= last_ts[key]:
+                    last_ts[key] = rec.captured_at
+                if rec.status == "stored" and (
+                    key not in last_stored or rec.captured_at >= last_stored[key][0]
+                ):
+                    last_stored[key] = (rec.captured_at, rec.content_hash)
+            if not ended:
+                raise CorruptManifest(f"{manifest}:{lineno}: last line has no newline")
+        manifest.parent.mkdir(parents=True, exist_ok=True)
+        self._last_ts.update(last_ts)
+        self._last_hash.update((key, digest) for key, (_, digest) in last_stored.items())
         self._scanned.add(city)
 
     def store_frame(
@@ -212,7 +246,10 @@ class FrameStore:
         if status == "stored":
             path = self.root / rel
             try:
-                path.parent.mkdir(parents=True, exist_ok=True)
+                day = rel.rpartition("/")[0]
+                if self._last_dir.get(key) != day:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    self._last_dir[key] = day
                 path.write_bytes(data)
             except OSError as exc:
                 raise StorageFull(str(exc)) from exc
@@ -223,9 +260,7 @@ class FrameStore:
         return record
 
     def _append_manifest(self, city: str, record: ManifestRecord) -> None:
-        manifest = self.root / city / "manifest.jsonl"
-        manifest.parent.mkdir(parents=True, exist_ok=True)
-        with manifest.open("a") as fh:
+        with (self.root / city / "manifest.jsonl").open("a") as fh:
             fh.write(record.to_json() + "\n")
 
 
@@ -255,13 +290,50 @@ def _check_record(rec: ManifestRecord, city: str) -> None:
         )
 
 
+def _read_manifest(
+    manifest: Path, city: str
+) -> Iterator[tuple[int, bool, ManifestRecord | None]]:
+    """Each line of city's manifest, in file order: its line number, whether
+    it ends in a newline, and its record (None for a blank line).
+
+    Lines are separated by '\n' only, as FrameStore writes them, and the file
+    is read one line at a time. A line that is not UTF-8, not a well-formed
+    record, or a record whose camera_id, status, byte_size or relative_path
+    FrameStore would not write, raises CorruptManifest naming the manifest and
+    the line; the first such line in the file is the one named.
+    """
+    with manifest.open("rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                start = fh.tell() - len(raw) + exc.start
+                raise CorruptManifest(
+                    f"{manifest}:{lineno}: not UTF-8 text ({exc.reason} at byte {start})"
+                ) from exc
+            ended = raw.endswith(b"\n")
+            if line.isspace():
+                yield lineno, ended, None
+                continue
+            try:
+                rec = ManifestRecord.from_json(line)
+                _check_record(rec, city)
+            except (ValueError, KeyError, TypeError) as exc:
+                # ValueError covers bad JSON and bad timestamps; KeyError a
+                # missing field; TypeError a line that is not a JSON object
+                raise CorruptManifest(
+                    f"{manifest}:{lineno}: bad manifest record ({type(exc).__name__}: {exc})"
+                ) from exc
+            yield lineno, ended, rec
+
+
 def scan_manifest(root: str | Path, city: str) -> list[ManifestRecord]:
     """All manifest records of one city, sorted by (camera_id, captured_at).
     Duplicates and failures are included; a city without a manifest has none.
 
     A line that is not a well-formed record, or whose camera_id, status,
     byte_size or relative_path FrameStore would not write, raises
-    CorruptManifest naming the manifest and the line.
+    CorruptManifest naming the manifest and the line (see _read_manifest).
     """
     root = Path(root)
     if not root.exists():
@@ -269,21 +341,7 @@ def scan_manifest(root: str | Path, city: str) -> list[ManifestRecord]:
     manifest = root / city / "manifest.jsonl"
     if not manifest.exists():
         return []
-    records = []
-    text = read_utf8(manifest, CorruptManifest)
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = ManifestRecord.from_json(line)
-            _check_record(rec, city)
-        except (ValueError, KeyError, TypeError) as exc:
-            # ValueError covers bad JSON and bad timestamps; KeyError a
-            # missing field; TypeError a line that is not a JSON object
-            raise CorruptManifest(
-                f"{manifest}:{lineno}: bad manifest record ({type(exc).__name__}: {exc})"
-            ) from exc
-        records.append(rec)
+    records = [rec for _, _, rec in _read_manifest(manifest, city) if rec is not None]
     records.sort(key=lambda r: (r.camera_id, r.captured_at))
     return records
 

@@ -1,6 +1,9 @@
 import json
 import re
+import tracemalloc
+from dataclasses import FrozenInstanceError
 from datetime import datetime, time, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from densigraph.errors import (
 from densigraph.ingestion import (
     CameraMeta,
     FrameStore,
+    ManifestRecord,
     Skip,
     crawl,
     dedup_check,
@@ -161,6 +165,26 @@ class TestStoreFrame:
         assert rec.status == "stored"
         with pytest.raises(CorruptManifest, match=re.escape(f"{manifest}:2: ")):
             store.store_frame(camera(city="a"), T0 + timedelta(seconds=1), b"y")
+
+    def test_last_line_without_newline_is_refused(self, tmp_path):
+        FrameStore(tmp_path).store_frame(camera(), T0, b"x")
+        manifest = tmp_path / "sydney" / "manifest.jsonl"
+        manifest.write_bytes(manifest.read_bytes().rstrip(b"\n"))
+        before = sorted(tmp_path.rglob("*")), manifest.read_bytes()
+        with pytest.raises(CorruptManifest, match=re.escape(f"{manifest}:1: ")):
+            FrameStore(tmp_path).store_frame(camera(), T0 + timedelta(seconds=1), b"y")
+        assert (sorted(tmp_path.rglob("*")), manifest.read_bytes()) == before
+
+    def test_makes_each_directory_once(self, tmp_path, monkeypatch):
+        (tmp_path / "sydney" / "syd-001").mkdir(parents=True)  # no recursive calls below
+        made = []
+        mkdir = Path.mkdir
+        monkeypatch.setattr(Path, "mkdir", lambda path, *a, **k: made.append(path) or mkdir(path, *a, **k))
+        store = FrameStore(tmp_path)
+        for i in range(6):  # 10:00 to 16:00 the next day
+            store.store_frame(camera(), T0 + timedelta(hours=6 * i), b"%d" % i)
+        days = tmp_path / "sydney" / "syd-001"
+        assert made == [tmp_path / "sydney", days / "20240301", days / "20240302"]
 
     def test_camera_id_reused_in_another_city_is_a_separate_stream(self, tmp_path):
         FrameStore(tmp_path).store_frame(camera(city="a"), T0, b"same-bytes")
@@ -317,6 +341,135 @@ class TestScanManifest:
         assert (rec.camera_id, rec.relative_path, rec.byte_size, rec.status) == (
             "syd-001", "sydney/syd-001/20240301/100001.pgm", 1, "stored"
         )
+
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_lines_are_separated_by_newline_only(self, tmp_path, char):
+        first = FrameStore(tmp_path).store_frame(camera(), T0, b"x")
+        manifest = tmp_path / "sydney" / "manifest.jsonl"
+        line = json.dumps({**json.loads(record_line()), "note": f"a{char}b"}, ensure_ascii=False)
+        with manifest.open("ab") as fh:
+            fh.write(line.encode("utf-8") + b"\r\n")
+        records = scan_manifest(tmp_path, city="sydney")
+        assert [r.relative_path for r in records] == [
+            first.relative_path, "sydney/syd-001/20240301/100001.pgm"
+        ]
+        with manifest.open("ab") as fh:
+            fh.write(b"[1]\n")
+        with pytest.raises(CorruptManifest, match=re.escape(f"{manifest}:3: ")):
+            scan_manifest(tmp_path, city="sydney")
+
+    def test_first_bad_line_in_file_order_is_named(self, tmp_path):
+        FrameStore(tmp_path).store_frame(camera(), T0, b"x")
+        manifest = tmp_path / "sydney" / "manifest.jsonl"
+        with manifest.open("ab") as fh:
+            fh.write(b'{"camera_id": "syd-001", "captured\n\xff\n')
+        with pytest.raises(CorruptManifest, match=re.escape(f"{manifest}:2: bad manifest record")):
+            scan_manifest(tmp_path, city="sydney")
+
+    def test_not_utf8_names_the_line_and_the_file_offset(self, tmp_path):
+        FrameStore(tmp_path).store_frame(camera(), T0, b"x")
+        manifest = tmp_path / "sydney" / "manifest.jsonl"
+        offset = manifest.stat().st_size + len('{"camera_id": "')
+        with manifest.open("ab") as fh:
+            fh.write(b'{"camera_id": "\xff"}\n')
+        text = f"{manifest}:2: not UTF-8 text (invalid start byte at byte {offset})"
+        with pytest.raises(CorruptManifest, match=re.escape(text)):
+            scan_manifest(tmp_path, city="sydney")
+
+    def test_records_equal_a_whole_file_read(self, tmp_path):
+        rng = np.random.default_rng(11)
+        store = FrameStore(tmp_path)
+        for k in range(200):
+            for c in map(int, rng.permutation(4)):
+                data = [b"", b"a", b"b", b"c%d" % k][rng.integers(4)]
+                store.store_frame(camera(camera_id=f"cam{c}"), T0 + timedelta(seconds=30 * k + c), data)
+        # the whole-file read that scan_manifest replaced, as the reference
+        text = (tmp_path / "sydney" / "manifest.jsonl").read_text("utf-8")
+        reference = [ManifestRecord.from_json(line) for line in text.splitlines()]
+        reference.sort(key=lambda r: (r.camera_id, r.captured_at))
+        records = scan_manifest(tmp_path, city="sydney")
+        assert records == reference and len(records) == 800
+        # records share one string per camera_id and per status
+        assert len({id(r.camera_id) for r in records}) == 4
+        assert len({id(r.status) for r in records}) == 3
+        with pytest.raises(FrozenInstanceError):
+            records[0].status = "failed"
+        assert not hasattr(records[0], "__dict__")
+
+
+class TestManifestMemory:
+    def test_resume_does_not_hold_the_manifest(self, tmp_path):
+        # warm takes the allocations of a first store, which neither peak should count
+        for city, lines in (("warm", 10), ("large", 8000), ("small", 1000)):
+            (tmp_path / city).mkdir()
+            with (tmp_path / city / "manifest.jsonl").open("w") as fh:
+                for i in range(lines):
+                    ts = T0 + timedelta(seconds=i)
+                    cam = f"cam{i % 3}"
+                    rel = f"{city}/{cam}/20240301/{ts:%H%M%S}.bin"
+                    fh.write(ManifestRecord(cam, ts, rel, 9, "%064x" % i, "stored").to_json() + "\n")
+        peaks = {}
+        for city in ("warm", "large", "small"):
+            store = FrameStore(tmp_path)
+            tracemalloc.start()
+            try:
+                store.store_frame(camera(camera_id="cam0", city=city), T0 + timedelta(hours=5), b"x")
+                peaks[city] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["large"] - peaks["small"] < 64 * 1024
+
+    def test_scan_peak_per_record(self, tmp_path):
+        store = FrameStore(tmp_path)
+        for c in range(12):
+            for k in range(720):
+                data = b"frame %d" % (k // 360)  # two stored, the rest duplicates
+                store.store_frame(camera(camera_id=f"cam{c:02d}"), T0 + timedelta(minutes=k), data)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            records = scan_manifest(tmp_path, city="sydney")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 12 * 720
+        assert peak / len(records) <= 600
+
+    def test_reopened_store_resumes_each_camera(self, tmp_path):
+        rng = np.random.default_rng(5)
+        source = FrameStore(tmp_path / "source")
+        # each camera's last frames; None repeats its last stored bytes, a duplicate
+        endings = {"a": [b"fresh"], "b": [None, None], "c": [b""], "d": [b"", None]}
+        last_stored = {}
+        for cam_id, ending in endings.items():
+            payloads = [[b"", b"p", b"q", b"r"][i] for i in rng.integers(4, size=20)] + ending
+            for i, data in enumerate(payloads):
+                data = last_stored.get(cam_id, b"p") if data is None else data
+                rec = source.store_frame(camera(camera_id=cam_id), T0 + timedelta(seconds=i), data)
+                if rec.status == "stored":
+                    last_stored[cam_id] = data
+        lines = (tmp_path / "source" / "sydney" / "manifest.jsonl").read_text().splitlines()
+        # the cameras' lines interleaved in a seeded order, and two stored
+        # records of camera e in one second, of which the later line counts
+        lines = [lines[i] for i in rng.permutation(len(lines))]
+        e1, e2 = (
+            ManifestRecord("e", T0, "sydney/e/20240301/100000.bin", 2, dedup_check(data, None)[1], "stored")
+            for data in (b"e1", b"e2")
+        )
+        lines.insert(int(rng.integers(len(lines))), e1.to_json())
+        lines.append(e2.to_json())
+        (tmp_path / "sydney").mkdir()
+        (tmp_path / "sydney" / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+        last_ts = {cam_id: T0 + timedelta(seconds=19 + len(e)) for cam_id, e in endings.items()}
+        last_ts["e"], last_stored["e"] = T0, b"e2"
+        store = FrameStore(tmp_path)
+        for cam_id, ts in last_ts.items():
+            cam = camera(camera_id=cam_id)
+            with pytest.raises(OutOfOrderTimestamp):
+                store.store_frame(cam, ts, b"new")
+            assert store.store_frame(cam, ts + timedelta(seconds=1), last_stored[cam_id]).status == "duplicate"
+            assert store.store_frame(cam, ts + timedelta(seconds=2), b"new").status == "stored"
 
 
 class TestRfc3339:
