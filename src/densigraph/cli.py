@@ -37,8 +37,10 @@ from typing import Iterator
 
 import numpy as np
 
+# synth, quality, lrd and statfit are imported by the commands that run them,
+# so that no stage loads another's modules
 from . import density as density_mod
-from . import ingestion, lrd, quality, synth
+from . import ingestion
 from .errors import CorruptLabels, CorruptTrace, DensigraphError, InvalidParams, InvalidSpec
 from .pgmio import decode_image, write_p5
 
@@ -217,7 +219,8 @@ def _rows_after_header(path: Path, header: str, check) -> list:
     """Each line of a CSV side file after its header, as ``check`` returns
     it. A first line other than ``header``, or a line that ``check`` refuses
     with ValueError, is a data error naming ``path`` and the line."""
-    lines = ingestion.read_utf8(path, DensigraphError).splitlines()
+    # '\n' only, as they are written: a camera id may hold U+2028 or U+2029
+    lines = ingestion.read_utf8(path, DensigraphError).removesuffix("\n").split("\n")
     if lines[:1] != [header]:
         raise DensigraphError(f"{path}:1: expected the header {header!r}")
     rows = []
@@ -230,10 +233,26 @@ def _rows_after_header(path: Path, header: str, check) -> list:
 
 
 def _read_frame(path: str) -> bytes:
-    """A stored frame's bytes, read by a plain str path, which costs less
-    per file than Path.read_bytes."""
-    with open(path, "rb") as fh:
-        return fh.read()
+    """A stored frame's bytes: one os.read of the size os.fstat gives, which
+    costs less per file than open().read(), and more reads only if the file
+    grew after the fstat."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        # one byte over the size, so that a read short of it ends the file
+        want = os.fstat(fd).st_size + 1
+        data = os.read(fd, want)
+        if len(data) < want:
+            return data
+        chunks = [data]
+        while data:
+            data = os.read(fd, 1 << 16)
+            chunks.append(data)
+        return b"".join(chunks)
+    except OSError as exc:
+        exc.filename = path  # os.read names no file; open() would
+        raise
+    finally:
+        os.close(fd)
 
 
 class _StoredFrames:
@@ -329,6 +348,8 @@ def cmd_crawl(cfg: Config, args) -> int:
 
 
 def cmd_synth(cfg: Config, args) -> int:
+    from . import synth
+
     camera = ingestion.CameraMeta(
         camera_id=args.camera_id,
         city=args.city,
@@ -372,6 +393,8 @@ def _read_labels(path: str) -> list[tuple[str, str]]:
 
 
 def cmd_clean(cfg: Config, args) -> int:
+    from . import quality
+
     labels = _read_labels(args.labels) if args.labels else None
     # relative_path -> removal reason (None: kept), in scan_manifest order
     reasons: dict[str, str | None] = {}
@@ -498,7 +521,7 @@ def _stats_json(path: Path) -> Iterator:
 
 
 def cmd_fit(cfg: Config, args) -> int:
-    from . import statfit  # only fit and report need it; other stages skip the import
+    from . import statfit
 
     traces = _read_city_traces(cfg, args.city)
     out_dir = cfg.data_root / args.city / "fits"
@@ -521,6 +544,8 @@ def cmd_fit(cfg: Config, args) -> int:
 
 
 def cmd_lrd(cfg: Config, args) -> int:
+    from . import lrd
+
     traces = _read_city_traces(cfg, args.city)
     out_dir = cfg.data_root / args.city / "lrd"
     step = lrd.city_step(trace.seconds for trace in traces.values())
@@ -553,7 +578,7 @@ def cmd_lrd(cfg: Config, args) -> int:
 
 
 def cmd_report(cfg: Config, args) -> int:
-    from . import statfit  # only fit and report need it; other stages skip the import
+    from . import statfit
 
     city_dir = cfg.data_root / args.city
     fits_dir = city_dir / "fits"

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InsufficientFrames, OutOfOrderTimestamp, ShapeMismatch
-from .ingestion import format_rfc3339, parse_rfc3339
+from .ingestion import parse_rfc3339
 
 __all__ = [
     "Frame",
@@ -128,11 +128,11 @@ TRACE_HEADER = "camera_id,captured_at,raw_density,normalized"
 
 
 def write_trace_csv(camera_id: str, trace: Trace) -> str:
-    rows = zip(trace.seconds.tolist(), trace.raw_density.tolist(), trace.normalized.tolist())
-    lines = [TRACE_HEADER] + [
-        f"{camera_id},{format_rfc3339(datetime.fromtimestamp(t, timezone.utc))},{d},{v:.6f}"
-        for t, d, v in rows
-    ]
+    # every timestamp in one call: YYYY-MM-DDTHH:MM:SS, as format_rfc3339
+    # writes it but for the Z, for each year 1-9999
+    stamps = np.datetime_as_string(trace.seconds.astype("datetime64[s]"), unit="s").tolist()
+    rows = zip(stamps, trace.raw_density.tolist(), trace.normalized.tolist())
+    lines = [TRACE_HEADER] + [f"{camera_id},{t}Z,{d},{v:.6f}" for t, d, v in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -153,8 +153,9 @@ def read_trace_csv(text: str, camera_id: str) -> Trace:
     each naming camera_id, with finite non-negative densities and later than
     the row before. A line that breaks this raises ValueError naming its
     1-based line number."""
-    lines = text.rstrip().splitlines()
-    if not lines or lines[0] != TRACE_HEADER:
+    # '\n' only, as write_trace_csv writes it: a camera id may hold U+2028
+    lines = text.rstrip().split("\n")
+    if lines[0] != TRACE_HEADER:
         raise ValueError("line 1: not a density trace CSV header")
     if len(lines) == 1:
         raise ValueError("line 2: bad trace row '' (the trace has no rows)")

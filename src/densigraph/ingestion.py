@@ -7,7 +7,6 @@ append-only <root>/<city>/manifest.jsonl describing every attempt
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -106,8 +105,21 @@ class ManifestRecord:
         """The record of one manifest line; keys that are not fields are ignored.
 
         camera_id and status repeat on every line, so a record holds the
-        interned string, not a copy of its own.
+        interned string, not a copy of its own. A line in to_json's own layout
+        is read by one pattern; any other goes through json.loads, so both
+        give the same record, or the same error.
         """
+        fast = _CANONICAL_LINE.fullmatch(line)
+        if fast is not None:
+            size, camera_id, captured_at, content_hash, relative_path, status = fast.groups()
+            return ManifestRecord(
+                sys.intern(camera_id),
+                parse_rfc3339(captured_at),
+                relative_path,
+                int(size),
+                content_hash,
+                sys.intern(status),
+            )
         obj = json.loads(line)
         obj["captured_at"] = parse_rfc3339(obj["captured_at"])
         for name in _SHARED_FIELDS:
@@ -119,15 +131,29 @@ class ManifestRecord:
 _RECORD_FIELDS = tuple(f.name for f in fields(ManifestRecord))
 _SHARED_FIELDS = ("camera_id", "status")
 STATUSES = ("stored", "duplicate", "failed")
+
+# to_json's layout: the six fields in sorted key order, each string without '"',
+# '\\' or a control character (so without escapes, and as json.loads reads
+# it), byte_size a JSON integer of at most 18 digits
+_JSON_STR = r'"([^"\\\x00-\x1f]*)"'
+_CANONICAL_LINE = re.compile(
+    r'\{"byte_size": (0|[1-9][0-9]{0,17}), "camera_id": %s, "captured_at": %s, '
+    r'"content_hash": %s, "relative_path": %s, "status": %s\}\n?' % ((_JSON_STR,) * 5)
+)
 EXTENSIONS = ("pgm", "png", "jpg", "bin")  # every extension sniff_extension gives
 
 
-RFC3339 = "%Y-%m-%dT%H:%M:%SZ"  # the one timestamp format of manifests and traces
+# the one timestamp format of manifests and traces, YYYY-MM-DDTHH:MM:SSZ;
+# strftime("%Y") does not zero-pad a year before 1000 on glibc
+RFC3339 = "%04d-%02d-%02dT%02d:%02d:%02dZ"
 _RFC3339_FIELDS = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
+# the value of each two-digit field: a lookup costs less than int()
+_TWO_DIGITS = {"%02d" % n: n for n in range(100)}
 
 
 def format_rfc3339(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime(RFC3339)
+    t = ts.astimezone(timezone.utc)
+    return RFC3339 % (t.year, t.month, t.day, t.hour, t.minute, t.second)
 
 
 def parse_rfc3339(text: str) -> datetime:
@@ -137,8 +163,11 @@ def parse_rfc3339(text: str) -> datetime:
         raise ValueError(f"not an RFC 3339 UTC timestamp: {text!r}")
     # unpacked: datetime(*map(...)) left one block per call on the tuple free
     # list, up to 2,000, which tracemalloc counts as held
-    year, month, day, hour, minute, second = map(int, fields.groups())
-    return datetime(year, month, day, hour, minute, second, tzinfo=timezone.utc)
+    year, month, day, hour, minute, second = fields.groups()
+    two = _TWO_DIGITS
+    return datetime(
+        int(year), two[month], two[day], two[hour], two[minute], two[second], 0, timezone.utc
+    )
 
 
 class Skip(NamedTuple):
@@ -167,14 +196,21 @@ def schedule_next_fetch(
 
 def dedup_check(data: bytes, last_hash: str | None) -> tuple[bool, str]:
     """(is_duplicate, sha256 hex digest of data)."""
+    import hashlib  # loads OpenSSL: only stages that store frames pay for it
+
     digest = hashlib.sha256(data).hexdigest()
     return digest == last_hash, digest
 
 
 def layout_path(city: str, camera_id: str, captured_at: datetime, ext: str) -> str:
-    ts = captured_at.astimezone(timezone.utc)
-    day = "%04d%02d%02d/%02d%02d%02d" % (ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second)
-    return f"{city}/{camera_id}/{day}.{ext}"
+    return _utc_layout_path(city, camera_id, captured_at.astimezone(timezone.utc), ext)
+
+
+def _utc_layout_path(city: str, camera_id: str, t: datetime, ext: str) -> str:
+    """layout_path of a time already in UTC; the date and the time of day are
+    each formatted as one integer, which costs less than six fields."""
+    day, second = t.year * 10000 + t.month * 100 + t.day, t.hour * 10000 + t.minute * 100 + t.second
+    return "%s/%s/%08d/%06d.%s" % (city, camera_id, day, second, ext)
 
 
 class FrameStore:
@@ -238,7 +274,7 @@ class FrameStore:
                 f"{camera.camera_id}: {captured_at} is not in a later second "
                 f"than the last stored {last}"
             )
-        rel = layout_path(camera.city, camera.camera_id, captured_at, sniff_extension(data))
+        rel = _utc_layout_path(camera.city, camera.camera_id, captured_at, sniff_extension(data))
         status, digest = "failed", ""
         if data:
             dup, digest = dedup_check(data, self._last_hash.get(key))
@@ -276,7 +312,11 @@ def read_utf8(path: str | Path, error: type[Exception]) -> str:
 
 
 def _check_record(rec: ManifestRecord, city: str) -> None:
-    """Raise ValueError unless rec is a record FrameStore could write for city."""
+    """Raise ValueError unless rec is a record FrameStore could write for city.
+
+    rec.captured_at is in UTC, as from_json gives it, so its layout path
+    needs no astimezone.
+    """
     check_id("camera_id", rec.camera_id)
     if rec.status not in STATUSES:
         raise ValueError(f"status {rec.status!r} is not one of {', '.join(STATUSES)}")
@@ -284,7 +324,7 @@ def _check_record(rec: ManifestRecord, city: str) -> None:
         raise ValueError(f"byte_size {rec.byte_size!r} is not a non-negative integer")
     path = rec.relative_path
     ext = path.rpartition(".")[2] if isinstance(path, str) else None
-    if ext not in EXTENSIONS or path != layout_path(city, rec.camera_id, rec.captured_at, ext):
+    if ext not in EXTENSIONS or path != _utc_layout_path(city, rec.camera_id, rec.captured_at, ext):
         raise ValueError(
             f"relative_path {path!r} is not the layout path of its city, camera and captured_at"
         )

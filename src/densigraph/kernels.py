@@ -95,10 +95,18 @@ def highpass_maps(bg, tau) -> HighpassMaps:
     )
 
 
+# below this many pixels one uint32 reduce of a frame is faster than the
+# uint16 column sums; both are exact, since 255 * 2**16 < 2**32
+_FLAT_SUM_PIXELS = 1 << 16
+
+
 def _byte_sum(a: np.ndarray) -> int:
-    """Exact sum of a 2-D uint8 array. Up to 256 rows add up in uint16
+    """Exact sum of a 2-D uint8 array. A frame under _FLAT_SUM_PIXELS adds
+    up in one uint32 reduce. Above it, up to 256 rows add up in uint16
     without overflow (256 * 255 < 2**16), which is faster than widening
     every byte."""
+    if a.size < _FLAT_SUM_PIXELS:
+        return int(np.add.reduce(a, axis=None, dtype=np.uint32))
     total = 0
     for top in range(0, a.shape[0], 256):
         columns = np.add.reduce(a[top : top + 256], axis=0, dtype=np.uint16)

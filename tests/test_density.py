@@ -8,12 +8,14 @@ import pytest
 from densigraph import kernels, synth
 from densigraph.density import (
     Frame,
+    Trace,
     build_background,
     process_sequence,
     read_trace_csv,
     write_trace_csv,
 )
 from densigraph.errors import InsufficientFrames, OutOfOrderTimestamp, ShapeMismatch
+from densigraph.ingestion import format_rfc3339
 from densigraph.pgmio import to_grayscale
 
 T0 = datetime(2024, 3, 1, 8, 0, tzinfo=timezone.utc)
@@ -222,6 +224,19 @@ def assert_kernel_matches_definition(bg, taus):
             expected = (int(image.astype(np.int64).sum()), int(((frame - bg) > tau).sum()))
             assert kernels.highpass_sum(frame, maps) == expected, (tau, k)
             assert kernels.highpass_sum(frame, bg, tau) == expected, (tau, k)
+
+
+class TestByteSum:
+    @pytest.mark.parametrize("shape", [(255, 257), (256, 256), (480, 640)])
+    def test_all_255_frames_on_each_side_of_the_flat_sum(self, shape):
+        # 65,535 and 65,536 pixels straddle the one-reduce path's limit
+        frame = np.full(shape, 255, dtype=np.uint8)
+        assert kernels._byte_sum(frame) == sum(frame.ravel().tolist())
+
+    @pytest.mark.parametrize("shape", [(1, 1), (72, 96), (255, 257), (256, 256), (300, 700)])
+    def test_random_frames(self, shape):
+        frame = np.random.default_rng(sum(shape)).integers(0, 256, shape, dtype=np.uint8)
+        assert kernels._byte_sum(frame) == sum(frame.ravel().tolist())
 
 
 class TestKernelEdges:
@@ -456,6 +471,30 @@ class TestTraceCsv:
         assert np.array_equal(back.seconds, trace.seconds)
         assert np.array_equal(back.raw_density, trace.raw_density)
         assert np.abs(back.normalized - trace.normalized).max() <= 5e-7
+
+    @pytest.mark.parametrize("year", [1, 999, 1970, 2024, 9999])
+    def test_bytes_equal_the_per_row_writer(self, year):
+        start = datetime(year, 1, 1, tzinfo=timezone.utc)
+        epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+        seconds = [(start - epoch) // timedelta(seconds=1) + 86_399 * i + i * i for i in range(300)]
+        raw = np.arange(300, dtype=np.int64) * 7919
+        trace = Trace(np.array(seconds, np.int64), raw, raw / (72 * 96 * 255))
+        # one datetime and one format_rfc3339 per row: the writer's reference
+        rows = [
+            f"cam1,{format_rfc3339(epoch + timedelta(seconds=t))},{d},{v:.6f}"
+            for t, d, v in zip(seconds, raw.tolist(), trace.normalized.tolist())
+        ]
+        text = write_trace_csv("cam1", trace)
+        assert text == "\n".join(["camera_id,captured_at,raw_density,normalized"] + rows) + "\n"
+        assert text.splitlines()[1].startswith(f"cam1,{year:04d}-01-01T00:00:00Z,")
+        assert read_trace_csv(text, "cam1").seconds.tolist() == seconds
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029"])
+    def test_camera_id_holding_a_line_separator_reads_back(self, char):
+        trace = process_sequence(make_frames(np.zeros((3, 2, 2))), z=2, tau=25)
+        camera_id = f"a{char}b"
+        back = read_trace_csv(write_trace_csv(camera_id, trace), camera_id)
+        assert back.seconds.tolist() == trace.seconds.tolist()
 
     def test_normalized_equals_per_frame_division(self):
         spec = synth.random_scene_spec(6, width=64, height=48, frame_count=60)

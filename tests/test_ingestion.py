@@ -1,7 +1,7 @@
 import json
 import re
 import tracemalloc
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from datetime import datetime, time, timedelta, timezone
 from pathlib import Path
 
@@ -16,13 +16,18 @@ from densigraph.errors import (
     OutOfOrderTimestamp,
 )
 from densigraph.ingestion import (
+    _CANONICAL_LINE,
+    EXTENSIONS,
+    STATUSES,
     CameraMeta,
     FrameStore,
     ManifestRecord,
     Skip,
+    _check_record,
     crawl,
     dedup_check,
     format_rfc3339,
+    layout_path,
     load_catalog,
     parse_rfc3339,
     scan_manifest,
@@ -398,6 +403,110 @@ class TestScanManifest:
         assert not hasattr(records[0], "__dict__")
 
 
+def json_path_record(line: str) -> ManifestRecord:
+    """The record of a manifest line by json.loads alone: the path that
+    ManifestRecord.from_json takes for a line not in to_json's layout."""
+    obj = json.loads(line)
+    obj["captured_at"] = parse_rfc3339(obj["captured_at"])
+    return ManifestRecord(*[obj[f.name] for f in fields(ManifestRecord)])
+
+
+def json_path_refusal(line: str, city: str) -> str:
+    """What scan_manifest says of a bad line read by json_path_record."""
+    try:
+        _check_record(json_path_record(line), city)
+    except (ValueError, KeyError, TypeError) as exc:
+        return f"bad manifest record ({type(exc).__name__}: {exc})"
+    raise AssertionError(f"{line!r} is a good line")
+
+
+class TestManifestLineLayout:
+    """from_json reads a line in to_json's layout with one pattern; every
+    other line, and every record, must come out as json_path_record's."""
+
+    def generated_records(self, count):
+        rng = np.random.default_rng(29)
+        lo = datetime(1, 1, 1, tzinfo=timezone.utc)
+        span = (datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc) - lo) // timedelta(seconds=1)
+        sizes = [0, 1, 10**17, 10**18 - 1]  # 18 digits at most take the pattern
+        for k in range(count):
+            t = lo + timedelta(seconds=int(rng.integers(span)))
+            status = STATUSES[k % 3]
+            cam = f"cam-{k % 7}"
+            size = sizes[k] if k < len(sizes) else int(rng.integers(1 << 40))
+            digest = "" if status == "failed" else "%064x" % int(rng.integers(1 << 62))
+            ext = EXTENSIONS[k % len(EXTENSIONS)]
+            yield ManifestRecord(cam, t, layout_path("sydney", cam, t, ext), size, digest, status)
+
+    def test_canonical_lines_give_the_json_path_records(self):
+        for rec in self.generated_records(600):
+            line = rec.to_json()
+            assert _CANONICAL_LINE.fullmatch(line)
+            for text in (line, line + "\n", line + "\r\n"):  # CRLF takes json.loads
+                got = ManifestRecord.from_json(text)
+                assert got == rec == json_path_record(text)
+                _check_record(got, "sydney")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: {**obj, "camera_id": "cam\u6771"},  # json.dumps escapes it
+            lambda obj: {**obj, "camera_id": "a\u2028b"},
+            lambda obj: {**obj, "byte_size": 10**18},  # 19 digits
+            lambda obj: {**obj, "note": "x"},
+        ],
+        ids=["non-ascii-id", "line-separator-id", "19-digit-size", "extra-key"],
+    )
+    def test_other_lines_take_the_json_path(self, edit):
+        for rec in self.generated_records(30):
+            obj = edit(json.loads(rec.to_json()))
+            reordered = json.dumps(dict(reversed(obj.items())))
+            for line in (json.dumps(obj, sort_keys=True), reordered):
+                assert ManifestRecord.from_json(line) == json_path_record(line)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            record_line(captured_at="2024-03-01 10:00:01Z"),
+            record_line(captured_at="2024-03-01T10:00:61Z"),
+            record_line(captured_at="2024-13-01T10:00:01Z"),
+            record_line(status="weird"),
+            record_line(relative_path="sydney/syd-002/20240301/100001.pgm"),
+        ],
+        ids=["bad-captured_at", "second-61", "month-13", "unknown-status", "other-camera-path"],
+    )
+    def test_canonical_bad_lines_are_refused_as_by_the_json_path(self, tmp_path, line):
+        line = json.dumps(json.loads(line), sort_keys=True)
+        assert _CANONICAL_LINE.fullmatch(line)
+        self.assert_refused_as_by_the_json_path(tmp_path, line)
+
+    def test_size_with_a_leading_zero_is_refused_as_by_the_json_path(self, tmp_path):
+        line = json.dumps(json.loads(record_line(byte_size=7)), sort_keys=True)
+        self.assert_refused_as_by_the_json_path(tmp_path, line.replace(": 7,", ": 007,"))
+
+    def assert_refused_as_by_the_json_path(self, tmp_path, line):
+        manifest = tmp_path / "sydney" / "manifest.jsonl"
+        manifest.parent.mkdir()
+        manifest.write_text(line + "\n")
+        text = f"{manifest}:1: {json_path_refusal(line, 'sydney')}"
+        with pytest.raises(CorruptManifest) as info:
+            scan_manifest(tmp_path, city="sydney")
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize("year", [1, 999])
+    def test_years_before_1000_round_trip(self, tmp_path, year):
+        t = datetime(year, 1, 1, 6, tzinfo=timezone.utc)
+        rec = FrameStore(tmp_path).store_frame(camera(), t, b"x")
+        assert rec.relative_path == f"sydney/syd-001/{year:04d}0101/060000.bin"
+        line = (tmp_path / "sydney" / "manifest.jsonl").read_text()
+        assert f'"captured_at": "{year:04d}-01-01T06:00:00Z"' in line
+        assert scan_manifest(tmp_path, city="sydney") == [rec]
+        resumed = FrameStore(tmp_path)
+        with pytest.raises(OutOfOrderTimestamp):
+            resumed.store_frame(camera(), t, b"y")
+        assert resumed.store_frame(camera(), t + timedelta(seconds=1), b"x").status == "duplicate"
+
+
 class TestManifestMemory:
     def test_resume_does_not_hold_the_manifest(self, tmp_path):
         # warm takes the allocations of a first store, which neither peak should count
@@ -475,11 +584,14 @@ class TestManifestMemory:
 class TestRfc3339:
     def test_round_trip(self):
         rng = np.random.default_rng(7)
-        lo = datetime(1970, 1, 1, tzinfo=timezone.utc)
-        span = (datetime(2200, 1, 1, tzinfo=timezone.utc) - lo).total_seconds()
-        for s in rng.integers(0, int(span), 1000):
-            t = lo + timedelta(seconds=int(s))
-            assert parse_rfc3339(format_rfc3339(t)) == t
+        for first_year in (1970, 1):
+            lo = datetime(first_year, 1, 1, tzinfo=timezone.utc)
+            span = (datetime(first_year + 230, 1, 1, tzinfo=timezone.utc) - lo).total_seconds()
+            for s in rng.integers(0, int(span), 1000):
+                t = lo + timedelta(seconds=int(s))
+                text = format_rfc3339(t)
+                assert parse_rfc3339(text) == t
+                assert text == "%04d-%02d-%02dT%02d:%02d:%02dZ" % t.timetuple()[:6]
 
     @pytest.mark.parametrize(
         "text",
