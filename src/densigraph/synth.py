@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Iterator
@@ -43,6 +44,20 @@ class VehicleEvent:
     intensity: int
 
 
+def _is_number(value) -> bool:
+    """A real number and not a bool (a JSON true would otherwise read as 1)."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _is_grid(value) -> bool:
+    """A JSON grid of numbers: a list of equally long lists of numbers."""
+    return (
+        isinstance(value, list)
+        and all(isinstance(row, list) and len(row) == len(value[0]) for row in value)
+        and all(_is_number(v) for row in value for v in row)
+    )
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     width: int
@@ -65,13 +80,27 @@ class SceneSpec:
             raise InvalidSpec(f"noise stddev must be finite and >= 0, got {self.noise_stddev}")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
-        bg = self.background_map()
-        if bg.shape != (self.height, self.width):
-            raise InvalidSpec(f"background is {bg.shape}, not {(self.height, self.width)}")
-        if not np.isfinite(bg).all():
-            raise InvalidSpec("background holds a non-finite value")
-        if bg.min() < 0 or bg.max() > 255:
-            raise InvalidSpec("background holds a value outside 0-255")
+        scalar = np.isscalar(self.background)
+        if scalar:
+            # a scalar is checked as one: no full-frame map is built for it, and
+            # the range is compared before a float conversion that a huge
+            # integer would overflow
+            if not _is_number(self.background):
+                raise InvalidSpec(f"background {reprlib.repr(self.background)} is not a number")
+            if not 0 <= self.background <= 255:
+                raise InvalidSpec(f"background {reprlib.repr(self.background)} is not a value in 0-255")
+            bg = float(self.background)
+        else:
+            try:
+                bg = self.background_map()
+            except OverflowError as exc:
+                raise InvalidSpec(f"background holds a value outside 0-255 ({exc})") from exc
+            if bg.shape != (self.height, self.width):
+                raise InvalidSpec(f"background is {bg.shape}, not {(self.height, self.width)}")
+            if not np.isfinite(bg).all():
+                raise InvalidSpec("background holds a non-finite value")
+            if bg.min() < 0 or bg.max() > 255:
+                raise InvalidSpec("background holds a value outside 0-255")
         for ev in self.vehicle_events:
             if not (0 <= ev.enter_frame < ev.exit_frame <= self.frame_count):
                 raise InvalidSpec(f"bad event window {ev.enter_frame}..{ev.exit_frame}")
@@ -81,7 +110,7 @@ class SceneSpec:
                 raise InvalidSpec("degenerate rectangle")
             if not 0 <= ev.intensity <= 255:
                 raise InvalidSpec(f"vehicle intensity {ev.intensity} is outside 0-255")
-            patch = bg[ev.y : ev.y + ev.height, ev.x : ev.x + ev.width]
+            patch = bg if scalar else bg[ev.y : ev.y + ev.height, ev.x : ev.x + ev.width]
             if np.abs(ev.intensity - patch).min() <= 2 * self.noise_stddev:
                 raise InvalidSpec("vehicle intensity too close to background")
 
@@ -105,10 +134,11 @@ class SceneSpec:
                 "sizes, frame indices, positions, intensities and seed must be"
                 " integers, and noise_stddev a number"
             )
-        try:
-            spec.background_map()
-        except (TypeError, ValueError) as exc:
-            raise InvalidSpec(f"background is not a number or a grid of numbers ({exc})") from exc
+        if not (_is_number(spec.background) or _is_grid(spec.background)):
+            raise InvalidSpec(
+                f"background {reprlib.repr(spec.background)} is not a number"
+                " or a grid of numbers (rows of equal length)"
+            )
         return spec
 
     def to_json(self) -> str:
@@ -129,32 +159,59 @@ class SceneSpec:
 def render_scene_sequence(spec: SceneSpec) -> Iterator[np.ndarray]:
     """Render each frame in turn: background + active rectangles + clamped noise.
 
-    The spec is validated on the call, before the first frame is drawn. Only
-    one frame's float64 work buffers are held; each yielded frame is a new
-    uint8 array.
+    The spec is validated on the call, before the first frame is drawn. Each
+    yielded frame is a new uint8 array; the float64 work is done in blocks of
+    whole rows (see BLOCK_PIXELS), so no full-frame float64 buffer is held
+    beyond an array background's own map.
     """
     spec.validate()
     return _render(spec)
 
 
+# Frames are rendered in blocks of whole rows of at most this many pixels, so
+# the float64 work buffers stay cache-sized whatever the frame size; a row
+# wider than this is one block on its own.
+BLOCK_PIXELS = 1 << 14
+
+
+def _active_events(spec: SceneSpec) -> list[list[VehicleEvent]]:
+    """Each frame's active events, in event order (a later event paints over
+    an earlier one)."""
+    active: list[list[VehicleEvent]] = [[] for _ in range(spec.frame_count)]
+    for ev in spec.vehicle_events:
+        for t in range(ev.enter_frame, ev.exit_frame):
+            active[t].append(ev)
+    return active
+
+
 def _render(spec: SceneSpec) -> Iterator[np.ndarray]:
-    bg = spec.background_map()
+    h, w = spec.height, spec.width
+    scalar = np.isscalar(spec.background)
+    bg = float(spec.background) if scalar else spec.background_map()
     rng = np.random.default_rng(spec.seed)
-    img = np.empty_like(bg)
-    noise = np.empty_like(bg)
-    for t in range(spec.frame_count):
-        np.copyto(img, bg)
-        for ev in spec.vehicle_events:
-            if ev.enter_frame <= t < ev.exit_frame:
-                img[ev.y : ev.y + ev.height, ev.x : ev.x + ev.width] = ev.intensity
-        if spec.noise_stddev > 0:
-            # keep float64 and this draw order: the seed fixes every frame's bytes
-            rng.standard_normal(out=noise)
-            noise *= spec.noise_stddev
-            img += noise
-        np.rint(img, out=img)
-        np.clip(img, 0, 255, out=img)
-        yield img.astype(np.uint8)
+    rows = min(h, max(1, BLOCK_PIXELS // w))
+    noise_buf = np.zeros((rows, w))  # stays zero when no noise is drawn
+    img_buf = np.empty((rows, w))
+    for events in _active_events(spec):
+        frame = np.empty((h, w), dtype=np.uint8)
+        for r0 in range(0, h, rows):
+            r1 = min(h, r0 + rows)
+            noise, img = noise_buf[: r1 - r0], img_buf[: r1 - r0]
+            if spec.noise_stddev > 0:
+                # keep float64 and this draw order: the blocks follow each other
+                # in C order, so the seed fixes every frame's bytes
+                rng.standard_normal(out=noise)
+                noise *= spec.noise_stddev
+            np.add(noise, bg if scalar else bg[r0:r1], out=img)
+            for ev in events:
+                y0, y1 = max(ev.y, r0) - r0, min(ev.y + ev.height, r1) - r0
+                if y0 < y1:
+                    xs = slice(ev.x, ev.x + ev.width)
+                    np.add(noise[y0:y1, xs], ev.intensity, out=img[y0:y1, xs])
+            np.rint(img, out=img)
+            np.clip(img, 0, 255, out=img)
+            frame[r0:r1] = img
+        yield frame
 
 
 def coverage_truth(spec: SceneSpec, t: int) -> float:

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,20 @@ class TestReadP5:
     def test_round_trip(self):
         img = random_frames(3, 1, shape=(5, 7))[0]
         np.testing.assert_array_equal(read_p5(write_p5(img)), img)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_write_copies_the_raster_once(self, order):
+        img = np.asarray(random_frames(6, 1, shape=(1080, 1920))[0], order=order)
+        expected = b"P5\n1920 1080\n255\n" + img.tobytes(order="C")
+        tracemalloc.start()
+        try:
+            data = write_p5(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data == expected
+        # the output, plus the C-order copy a Fortran-order frame needs
+        assert peak < (1.1 if order == "C" else 2.1) * img.size, f"peak {peak / img.size:.2f} rasters"
 
     def test_bytes_after_the_raster_are_ignored(self):
         img = random_frames(5, 1, shape=(3, 4))[0]

@@ -8,6 +8,7 @@ import pytest
 
 from densigraph import synth
 from densigraph.errors import InvalidH, InvalidParams, InvalidSpec
+from densigraph.pgmio import write_p5
 from densigraph.statfit import ks_critical_95, ks_statistic
 
 
@@ -54,6 +55,98 @@ class TestRenderScene:
             tracemalloc.stop()
         assert count == 60
         assert peak < 4 * float_frame, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize(
+        "width, height, frames, bound",
+        [(640, 480, 20, 640 * 480 * 8), (1920, 1080, 3, 4 * 1920 * 1080)],
+        ids=["480x640-under-one-float64-frame", "1080p-under-four-uint8-frames"],
+    )
+    def test_render_and_encode_hold_no_float_frame(self, width, height, frames, bound):
+        # the float64 work is done in row blocks, and write_p5 copies the raster once
+        spec = synth.random_scene_spec(4, width=width, height=height, frame_count=frames)
+        tracemalloc.start()
+        try:
+            size = sum(len(write_p5(frame.pixels)) for frame in synth.frames_from_spec(spec))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size == frames * (width * height + len(b"P5\n%d %d\n255\n" % (width, height)))
+        assert peak < bound, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (
+                # an array background, not a multiple of 0.5
+                synth.SceneSpec(
+                    40, 30, np.add.outer(np.arange(30) * 2.0, np.arange(40) * 0.5) + 10.25,
+                    (synth.VehicleEvent(1, 4, 5, 6, 10, 8, 230),), 3.0, 5, 7,
+                ),
+                "ec6aba742f1e53ddd1277e3b79ce52bf77c628ee900f3f5d1782b070919b036e",
+            ),
+            (
+                # no noise is drawn; 60.5 rounds half to even
+                synth.SceneSpec(
+                    50, 20, 60.5,
+                    (synth.VehicleEvent(0, 3, 4, 2, 10, 6, 200), synth.VehicleEvent(1, 4, 30, 10, 15, 8, 180)),
+                    0.0, 4, 3,
+                ),
+                "56c9ec59d3f41412dbaee03466c55ff91f4bbb5860270c1415d8c439d72f2db8",
+            ),
+            (
+                # overlapping rectangles: the later event is drawn over the earlier
+                synth.SceneSpec(
+                    64, 48, 60,
+                    (
+                        synth.VehicleEvent(0, 6, 10, 10, 20, 20, 200),
+                        synth.VehicleEvent(2, 5, 20, 15, 20, 20, 120),
+                        synth.VehicleEvent(3, 6, 5, 5, 40, 30, 250),
+                    ),
+                    4.0, 6, 5,
+                ),
+                "2d8b71909548661a26cc5ddf31da4a360d0417b1f85eaed2874c8cd47e2bfdc0",
+            ),
+            (
+                # 25-row blocks: the rectangles cross rows 25 and 50
+                synth.SceneSpec(
+                    640, 60, 60,
+                    (synth.VehicleEvent(0, 3, 100, 20, 50, 10, 200), synth.VehicleEvent(1, 3, 300, 45, 60, 10, 150)),
+                    5.0, 3, 9,
+                ),
+                "036119d829af4aa6161e291cde40e56b94b6bed4aaa95ad468b79f717c9c3924",
+            ),
+            (
+                # each row is wider than a block, so it is a block of its own
+                synth.SceneSpec(
+                    20000, 3, 60,
+                    (synth.VehicleEvent(0, 2, 16000, 0, 500, 3, 200), synth.VehicleEvent(1, 2, 0, 1, 30, 2, 220)),
+                    2.0, 2, 4,
+                ),
+                "7e9b5866e8f6555b838503c1b889d1700595020ff578d66dcc951c34972f62d6",
+            ),
+            (
+                # 16-row blocks over 37 rows: the last block is 5 rows
+                synth.SceneSpec(1000, 37, 60, (synth.VehicleEvent(0, 3, 200, 10, 100, 20, 200),), 4.0, 3, 6),
+                "9f1b8503cdda300c127226eecf1ae980fe8f28870aaf8bd132e4928f8f36043b",
+            ),
+        ],
+        ids=["array-background", "no-noise", "overlap", "straddles-block", "wider-than-block", "short-last-block"],
+    )
+    def test_render_paths_are_pinned(self, spec, digest):
+        # digests of the whole-frame renderer that the row-block renderer replaced
+        sha = hashlib.sha256()
+        for f in synth.render_scene_sequence(spec):
+            sha.update(f.tobytes())
+        assert sha.hexdigest() == digest
+
+    def test_scalar_background_renders_as_its_map(self):
+        spec = synth.random_scene_spec(8, width=300, height=70, frame_count=5)
+        mapped = synth.SceneSpec(
+            spec.width, spec.height, spec.background_map(), spec.vehicle_events,
+            spec.noise_stddev, spec.frame_count, spec.seed,
+        )
+        for a, b in zip(synth.render_scene_sequence(spec), synth.render_scene_sequence(mapped), strict=True):
+            assert np.array_equal(a, b)
 
     def test_frames_are_the_same_on_every_iteration(self):
         spec = synth.random_scene_spec(4, width=32, height=24, frame_count=20)
@@ -111,6 +204,51 @@ class TestRenderScene:
         spec = synth.SceneSpec(4, 3, np.zeros((4, 3)), (), 0.0, 1, 0)
         with pytest.raises(InvalidSpec, match="background"):
             synth.render_scene_sequence(spec)
+
+    @pytest.mark.parametrize(
+        "background",
+        ['"60"', "true", "false", "null", '[["60", "60"], ["60", "60"]]', "[[true, 1], [1, 1]]",
+         "[[60, 60], [60]]", "[60, 60]", '{"value": 60}', "[[[60]]]"],
+        ids=["string", "true", "false", "null", "grid-of-strings", "bool-in-grid",
+             "ragged-grid", "flat-list", "object", "nested-grid"],
+    )
+    def test_background_of_the_wrong_type_is_refused(self, background):
+        text = (
+            '{"vehicle_events": [], "width": 2, "height": 2, "background": %s,'
+            ' "noise_stddev": 0, "frame_count": 1, "seed": 0}' % background
+        )
+        with pytest.raises(InvalidSpec, match=r"^background .* is not a number or a grid of numbers"):
+            synth.SceneSpec.from_json(text)
+
+    @pytest.mark.parametrize("background", ["60", "60.5", "[[60, 61.5], [0, 255]]"])
+    def test_number_or_grid_of_numbers_is_a_background(self, background):
+        text = (
+            '{"vehicle_events": [], "width": 2, "height": 2, "background": %s,'
+            ' "noise_stddev": 0, "frame_count": 1, "seed": 0}' % background
+        )
+        spec = synth.SceneSpec.from_json(text)
+        (frame,) = synth.render_scene_sequence(spec)
+        assert np.array_equal(frame, np.rint(np.broadcast_to(json.loads(background), (2, 2))))
+        assert json.loads(spec.to_json())["background"] == json.loads(background)
+
+    @pytest.mark.parametrize(
+        "background",
+        ["1" + "0" * 400, "[[1%s, 0], [0, 0]]" % ("0" * 400), "-1", "255.5", "1e400", "NaN", "[[0, NaN], [0, 0]]"],
+        ids=["400-digit-integer", "400-digit-integer-in-grid", "negative", "above-255", "inf", "nan", "nan-in-grid"],
+    )
+    def test_background_outside_0_255_is_refused(self, background):
+        text = (
+            '{"vehicle_events": [], "width": 2, "height": 2, "background": %s,'
+            ' "noise_stddev": 0, "frame_count": 1, "seed": 0}' % background
+        )
+        spec = synth.SceneSpec.from_json(text)
+        with pytest.raises(InvalidSpec, match="^background"):
+            synth.render_scene_sequence(spec)
+
+    @pytest.mark.parametrize("background", ["60", True, None])
+    def test_constructed_scalar_background_must_be_a_number(self, background):
+        with pytest.raises(InvalidSpec, match="background"):
+            synth.render_scene_sequence(synth.SceneSpec(4, 3, background, (), 0.0, 1, 0))
 
 
 class TestCoverageTruth:
