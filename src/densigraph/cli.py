@@ -339,8 +339,10 @@ def cmd_crawl(cfg: Config, args) -> int:
     if cfg.catalog_path is None:
         raise DensigraphError("crawl requires catalog_path in config or --set catalog_path=...")
     cameras = ingestion.load_catalog(cfg.catalog_path)
-    with ingestion.FrameStore(cfg.data_root) as store:
-        records = ingestion.crawl(cameras, store, args.duration, tz_offsets=cfg.tz_offsets)
+    store = ingestion.FrameStore(cfg.data_root)
+    records = ingestion.crawl(
+        cameras, store, args.duration, tz_offsets=cfg.tz_offsets
+    )
     _log(f"crawl: {len(records)} fetch attempts recorded")
     return 0
 
@@ -362,11 +364,11 @@ def cmd_synth(cfg: Config, args) -> int:
         frames = synth.frames_from_spec(spec, args.t0, args.step)
     except InvalidSpec as exc:
         raise InvalidSpec(f"{args.scene}: {exc}") from exc
+    store = ingestion.FrameStore(cfg.data_root)
     count = 0
-    with ingestion.FrameStore(cfg.data_root) as store:
-        for frame in frames:
-            store.store_frame(camera, frame.captured_at, write_p5(frame.pixels))
-            count += 1
+    for frame in frames:
+        store.store_frame(camera, frame.captured_at, write_p5(frame.pixels))
+        count += 1
     _log(f"synth: stored {count} frames for {args.city}/{args.camera_id}")
     return 0
 

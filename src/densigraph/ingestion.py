@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import sys
-import weakref
 from dataclasses import dataclass, fields
 from datetime import datetime, time, timedelta, timezone
 from pathlib import Path
@@ -224,16 +222,10 @@ class FrameStore:
     is read on the first store into that city, so other cities' manifests
     are never parsed. The store keeps each camera's last timestamp, last
     stored hash and last day directory, never the manifest's records.
-
-    Each city's manifest is held open for appending from its first store
-    until close() (or the end of a with block, or the store's collection),
-    and each record is one write to it.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._manifests: dict[str, int] = {}  # city -> O_APPEND descriptor
-        weakref.finalize(self, _close_all, self._manifests)  # if close() is never called
         self._scanned: set[str] = set()
         self._last_ts: dict[tuple[str, str], datetime] = {}
         self._last_hash: dict[tuple[str, str], str] = {}
@@ -244,8 +236,7 @@ class FrameStore:
 
         Of two records of one camera in the same second, the later line wins.
         A manifest whose last line has no newline raises CorruptManifest: a
-        record appended to it would join that line. Opens the descriptor that
-        city's records are appended through.
+        record appended to it would join that line.
         """
         manifest = self.root / city / "manifest.jsonl"
         last_ts: dict[tuple[str, str], datetime] = {}
@@ -265,7 +256,6 @@ class FrameStore:
             if not ended:
                 raise CorruptManifest(f"{manifest}:{lineno}: last line has no newline")
         manifest.parent.mkdir(parents=True, exist_ok=True)
-        self._manifests[city] = os.open(manifest, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         self._last_ts.update(last_ts)
         self._last_hash.update((key, digest) for key, (_, digest) in last_stored.items())
         self._scanned.add(city)
@@ -306,26 +296,8 @@ class FrameStore:
         return record
 
     def _append_manifest(self, city: str, record: ManifestRecord) -> None:
-        line = (record.to_json() + "\n").encode()
-        if os.write(self._manifests[city], line) != len(line):
-            manifest = self.root / city / "manifest.jsonl"
-            raise StorageFull(f"{manifest}: short write of the record of {record.relative_path}")
-
-    def close(self) -> None:
-        """Close the manifests; a later store into a city re-reads its manifest."""
-        _close_all(self._manifests)
-        self._scanned.clear()
-
-    def __enter__(self) -> "FrameStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _close_all(fds: dict[str, int]) -> None:
-    while fds:
-        os.close(fds.popitem()[1])
+        with (self.root / city / "manifest.jsonl").open("a") as fh:
+            fh.write(record.to_json() + "\n")
 
 
 def read_utf8(path: str | Path, error: type[Exception]) -> str:

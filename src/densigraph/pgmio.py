@@ -45,7 +45,6 @@ def write_p5(pixels: np.ndarray) -> bytes:
     if arr.ndim != 2:
         raise ValueError("P5 output requires a 2-D array")
     h, w = arr.shape
-    # join reads the raster through its buffer: one copy, not tobytes() and a concatenation
     return b"".join((b"P5\n%d %d\n255\n" % (w, h), memoryview(arr)))
 
 

@@ -69,8 +69,10 @@ class SceneSpec:
     seed: int
 
     def background_map(self) -> np.ndarray:
+        """The background as a (height, width) float64 array; a scalar is a
+        read-only zero-stride view of one value, not a full-frame copy."""
         if np.isscalar(self.background):
-            return np.full((self.height, self.width), self.background, dtype=np.float64)
+            return np.broadcast_to(np.float64(self.background), (self.height, self.width))
         return np.asarray(self.background, dtype=np.float64)
 
     def validate(self) -> None:
@@ -80,27 +82,19 @@ class SceneSpec:
             raise InvalidSpec(f"noise stddev must be finite and >= 0, got {self.noise_stddev}")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
-        scalar = np.isscalar(self.background)
-        if scalar:
-            # a scalar is checked as one: no full-frame map is built for it, and
-            # the range is compared before a float conversion that a huge
-            # integer would overflow
-            if not _is_number(self.background):
-                raise InvalidSpec(f"background {reprlib.repr(self.background)} is not a number")
-            if not 0 <= self.background <= 255:
-                raise InvalidSpec(f"background {reprlib.repr(self.background)} is not a value in 0-255")
-            bg = float(self.background)
-        else:
-            try:
-                bg = self.background_map()
-            except OverflowError as exc:
-                raise InvalidSpec(f"background holds a value outside 0-255 ({exc})") from exc
-            if bg.shape != (self.height, self.width):
-                raise InvalidSpec(f"background is {bg.shape}, not {(self.height, self.width)}")
-            if not np.isfinite(bg).all():
-                raise InvalidSpec("background holds a non-finite value")
-            if bg.min() < 0 or bg.max() > 255:
-                raise InvalidSpec("background holds a value outside 0-255")
+        if np.isscalar(self.background) and not _is_number(self.background):
+            raise InvalidSpec(f"background {reprlib.repr(self.background)} is not a number")
+        try:
+            bg = self.background_map()
+        except OverflowError as exc:
+            raise InvalidSpec(f"background holds a value outside 0-255 ({exc})") from exc
+        if bg.shape != (self.height, self.width):
+            raise InvalidSpec(f"background is {bg.shape}, not {(self.height, self.width)}")
+        lo, hi = bg.min(), bg.max()  # a NaN anywhere makes both NaN
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise InvalidSpec("background holds a non-finite value")
+        if lo < 0 or hi > 255:
+            raise InvalidSpec("background holds a value outside 0-255")
         for ev in self.vehicle_events:
             if not (0 <= ev.enter_frame < ev.exit_frame <= self.frame_count):
                 raise InvalidSpec(f"bad event window {ev.enter_frame}..{ev.exit_frame}")
@@ -110,7 +104,7 @@ class SceneSpec:
                 raise InvalidSpec("degenerate rectangle")
             if not 0 <= ev.intensity <= 255:
                 raise InvalidSpec(f"vehicle intensity {ev.intensity} is outside 0-255")
-            patch = bg if scalar else bg[ev.y : ev.y + ev.height, ev.x : ev.x + ev.width]
+            patch = bg[ev.y : ev.y + ev.height, ev.x : ev.x + ev.width]
             if np.abs(ev.intensity - patch).min() <= 2 * self.noise_stddev:
                 raise InvalidSpec("vehicle intensity too close to background")
 
@@ -186,8 +180,7 @@ def _active_events(spec: SceneSpec) -> list[list[VehicleEvent]]:
 
 def _render(spec: SceneSpec) -> Iterator[np.ndarray]:
     h, w = spec.height, spec.width
-    scalar = np.isscalar(spec.background)
-    bg = float(spec.background) if scalar else spec.background_map()
+    bg = spec.background_map()
     rng = np.random.default_rng(spec.seed)
     rows = min(h, max(1, BLOCK_PIXELS // w))
     noise_buf = np.zeros((rows, w))  # stays zero when no noise is drawn
@@ -202,7 +195,7 @@ def _render(spec: SceneSpec) -> Iterator[np.ndarray]:
                 # in C order, so the seed fixes every frame's bytes
                 rng.standard_normal(out=noise)
                 noise *= spec.noise_stddev
-            np.add(noise, bg if scalar else bg[r0:r1], out=img)
+            np.add(noise, bg[r0:r1], out=img)
             for ev in events:
                 y0, y1 = max(ev.y, r0) - r0, min(ev.y + ev.height, r1) - r0
                 if y0 < y1:

@@ -142,7 +142,7 @@ class TestRenderScene:
     def test_scalar_background_renders_as_its_map(self):
         spec = synth.random_scene_spec(8, width=300, height=70, frame_count=5)
         mapped = synth.SceneSpec(
-            spec.width, spec.height, spec.background_map(), spec.vehicle_events,
+            spec.width, spec.height, np.full((spec.height, spec.width), float(spec.background)), spec.vehicle_events,
             spec.noise_stddev, spec.frame_count, spec.seed,
         )
         for a, b in zip(synth.render_scene_sequence(spec), synth.render_scene_sequence(mapped), strict=True):
