@@ -7,7 +7,8 @@ Subcommands mirror the pipeline stages:
   density  per-camera density traces, writes <city>/density/<camera>.csv
   fit      distribution fit reports per camera and per-city aggregate
   lrd      Hurst reports and the hourly diurnal profile
-  report   bundle earlier artifacts into <city>/report/ (never recomputes)
+  report   bundle earlier artifacts into <city>/report/, evaluating each
+           fitted CDF on a grid from the traces
 
 Config precedence: JSON file < DENSIGRAPH_ROOT env var < --set key=value.
 Exit codes: 0 success, 1 usage error, 2 data error.
@@ -112,8 +113,6 @@ class Config:
     catalog_path: Path | None = _key(_optional_path, None)
     tau: float = _key(_number, 25.0)
     window_z: int = _key(_integer, 100)
-    cluster_k: int = _key(_integer, 4)
-    seed: int = _key(_integer, 0)
     # city -> hours; a JSON object, so only a config file can set it
     tz_offsets: dict = _key(_hours_by_city, default_factory=dict)
 
@@ -149,10 +148,6 @@ class Config:
             raise ValueError(f"tau must be finite and >= 0, got {cfg.tau}")
         if cfg.window_z < 2:
             raise ValueError(f"window_z must be >= 2, got {cfg.window_z}")
-        if cfg.cluster_k < 2:
-            raise ValueError(f"cluster_k must be >= 2, got {cfg.cluster_k}")
-        if cfg.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {cfg.seed}")
         return cfg
 
     def describe(self) -> str:
@@ -340,10 +335,8 @@ def cmd_crawl(cfg: Config, args) -> int:
         raise DensigraphError("crawl requires catalog_path in config or --set catalog_path=...")
     cameras = ingestion.load_catalog(cfg.catalog_path)
     store = ingestion.FrameStore(cfg.data_root)
-    records = ingestion.crawl(
-        cameras, store, args.duration, tz_offsets=cfg.tz_offsets
-    )
-    _log(f"crawl: {len(records)} fetch attempts recorded")
+    count = ingestion.crawl(cameras, store, args.duration, tz_offsets=cfg.tz_offsets)
+    _log(f"crawl: {count} fetch attempts recorded")
     return 0
 
 
@@ -413,7 +406,7 @@ def cmd_clean(cfg: Config, args) -> int:
             if img is None:
                 reason = "DecodeError" if data else "ZeroSize"
             elif labels is not None:
-                features[path] = quality.extract_features(img, len(data))
+                features[path] = quality.extract_features(img)
         reasons[path] = reason
 
     if labels is not None:
@@ -432,7 +425,7 @@ def cmd_clean(cfg: Config, args) -> int:
         except ValueError as exc:
             raise CorruptLabels(f"{args.labels}: {exc}") from exc
         rows = np.array(list(features.values()))
-        model = quality.fit_clusters(rows, labeled, k=cfg.cluster_k, seed=cfg.seed)
+        model = quality.fit_clusters(rows, labeled)
         for path, label in zip(features, quality.classify(model, rows)):
             if label == quality.OUTLIER:
                 reasons[path] = "ClusterOutlier"

@@ -289,15 +289,21 @@ class FrameStore:
                 path.write_bytes(data)
             except OSError as exc:
                 raise StorageFull(str(exc)) from exc
-            self._last_hash[key] = digest
         record = ManifestRecord(camera.camera_id, captured_at, rel, len(data), digest, status)
         self._append_manifest(camera.city, record)
         self._last_ts[key] = captured_at
+        if status == "stored":
+            self._last_hash[key] = digest
         return record
 
     def _append_manifest(self, city: str, record: ManifestRecord) -> None:
-        with (self.root / city / "manifest.jsonl").open("a") as fh:
-            fh.write(record.to_json() + "\n")
+        try:
+            with (self.root / city / "manifest.jsonl").open("a") as fh:
+                fh.write(record.to_json() + "\n")
+        except OSError as exc:
+            # the next store's _resume refuses a line this failure cut short
+            self._scanned.discard(city)
+            raise StorageFull(str(exc)) from exc
 
 
 def read_utf8(path: str | Path, error: type[Exception]) -> str:
@@ -453,9 +459,9 @@ def crawl(
     clock=None,
     sleep=None,
     tz_offsets: dict[str, float] | None = None,
-) -> list[ManifestRecord]:
-    """Poll every camera until duration elapses. fetch/clock/sleep are
-    injectable for testing; the real clock and time.sleep are the default."""
+) -> int:
+    """Poll every camera until duration elapses; returns how many records it
+    stored. fetch/clock/sleep are injectable; the defaults are the real ones."""
     import time as _time
 
     clock = clock or (lambda: datetime.now(timezone.utc))
@@ -464,7 +470,7 @@ def crawl(
     cameras = list(cameras)  # walked on every round
     t_end = clock() + timedelta(seconds=duration_seconds)
     next_due = {c.camera_id: clock() for c in cameras}
-    records = []
+    count = 0
     while True:
         now = clock()
         if now >= t_end:
@@ -481,8 +487,9 @@ def crawl(
                 continue
             body = fetch(camera.source_url) if camera.source_url else None
             try:
-                records.append(store.store_frame(camera, now, body or b""))
+                store.store_frame(camera, now, body or b"")
+                count += 1
             except OutOfOrderTimestamp:
                 pass  # polled in the second of the last stored frame; retry next round
             next_due[camera.camera_id] = decision
-    return records
+    return count

@@ -1,4 +1,4 @@
-"""Semi-supervised outlier clustering: standardized k-means over image
+"""Semi-supervised outlier clustering: standardized k-means over pixel
 features, seeded from a small labeled set.
 
 Clustering catches frames that decode fine but are not traffic snapshots
@@ -29,8 +29,9 @@ __all__ = [
 REGULAR = "regular"
 OUTLIER = "outlier"
 
-# the columns of a feature row
-FEATURES = ("byte_size", "width", "height", "mean_intensity", "intensity_variance", "edge_density")
+# the columns of a feature row; none depends on the frame's size, so a
+# city's cameras may differ in resolution
+FEATURES = ("mean_intensity", "intensity_variance", "edge_density")
 
 EDGE_STEP = 16  # horizontal-neighbor intensity jump that counts as an edge
 
@@ -48,8 +49,8 @@ class LabeledSet:
             raise ValueError("labeled set needs at least one point of each label")
 
 
-def extract_features(img: np.ndarray, byte_size: int) -> np.ndarray:
-    """Feature row of a decoded uint8 frame whose file holds byte_size bytes.
+def extract_features(img: np.ndarray) -> np.ndarray:
+    """Feature row of a decoded uint8 frame.
 
     Mean, variance and edge density are each an exact ratio of Python ints,
     which int / int rounds once, so none depends on summation order.
@@ -65,7 +66,7 @@ def extract_features(img: np.ndarray, byte_size: int) -> np.ndarray:
         diffs = np.subtract(img[:, 1:], img[:, :-1], dtype=np.int16)
         np.abs(diffs, out=diffs)
         edge = np.count_nonzero(diffs > EDGE_STEP) / (h * (w - 1))
-    return np.array([byte_size, w, h, s / n, (n * s2 - s * s) / (n * n), edge], dtype=np.float64)
+    return np.array([s / n, (n * s2 - s * s) / (n * n), edge], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,10 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return np.array(centroids)
 
 
-def fit_clusters(unlabeled: np.ndarray, labeled: LabeledSet, k: int, seed: int) -> ClusterModel:
+def fit_clusters(unlabeled: np.ndarray, labeled: LabeledSet, k: int = 4, seed: int = 0) -> ClusterModel:
     """Standardized k-means over the unlabeled rows and the labeled ones;
     clusters take the majority label of the labeled points they contain,
     empty or tied clusters the label of the nearest labeled point."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
     if len(unlabeled) < k:
         raise TooFewPoints(f"{len(unlabeled)} unlabeled points for k={k}")
     raw = np.concatenate([np.asarray(unlabeled, dtype=np.float64), labeled.features])

@@ -171,8 +171,7 @@ def test_criterion_7_outlier_cleaning(tmp_path):
     labels_path = tmp_path / "labels.json"
     labels_path.write_text(json.dumps(labels))
     argv = [
-        "--set", f"data_root={root}", "--set", "cluster_k=4", "--set", "seed=0",
-        "clean", "--city", "city7", "--labels", str(labels_path),
+        "--set", f"data_root={root}", "clean", "--city", "city7", "--labels", str(labels_path),
     ]
     assert run(argv) == 0
     lines = (root / "city7" / "removed.csv").read_text().splitlines()[1:]

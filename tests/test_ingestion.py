@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 import tracemalloc
@@ -14,6 +15,7 @@ from densigraph.errors import (
     DensigraphError,
     MissingManifest,
     OutOfOrderTimestamp,
+    StorageFull,
 )
 from densigraph.ingestion import (
     _CANONICAL_LINE,
@@ -179,6 +181,36 @@ class TestStoreFrame:
         with pytest.raises(CorruptManifest, match=re.escape(f"{manifest}:1: ")):
             FrameStore(tmp_path).store_frame(camera(), T0 + timedelta(seconds=1), b"y")
         assert (sorted(tmp_path.rglob("*")), manifest.read_bytes()) == before
+
+    def test_failed_append_is_storage_full_then_refused(self, tmp_path, monkeypatch):
+        store = FrameStore(tmp_path)
+        store.store_frame(camera(), T0, b"x")
+        manifest = tmp_path / "sydney" / "manifest.jsonl"
+        path_open = Path.open
+
+        def torn_open(path, *args, **kwargs):
+            """Open; an append to the manifest writes half its text, then
+            fails as a full disk does."""
+            fh = path_open(path, *args, **kwargs)
+            if path == manifest and args[:1] == ("a",):
+                write = fh.write
+
+                def half_write(text):
+                    write(text[: len(text) // 2])
+                    raise OSError(errno.EFBIG, "File too large")
+
+                fh.write = half_write
+            return fh
+
+        monkeypatch.setattr(Path, "open", torn_open)
+        with pytest.raises(StorageFull, match="File too large"):
+            store.store_frame(camera(), T0 + timedelta(seconds=1), b"y")
+        monkeypatch.undo()
+        torn = manifest.read_bytes()
+        assert not torn.endswith(b"\n")
+        with pytest.raises(CorruptManifest, match=re.escape(f"{manifest}:2: ")):
+            store.store_frame(camera(), T0 + timedelta(seconds=2), b"z")
+        assert manifest.read_bytes() == torn
 
     def test_two_stores_interleave_whole_lines(self, tmp_path):
         first, second = FrameStore(tmp_path), FrameStore(tmp_path)
@@ -692,9 +724,10 @@ class TestCrawl:
             refresh_interval=10.0, source_url="http://example/cam.jpg",
         )
         store = FrameStore(tmp_path)
-        records = crawl([cam], store, duration_seconds=60, fetch=fetch, clock=clock, sleep=sleep)
+        count = crawl([cam], store, duration_seconds=60, fetch=fetch, clock=clock, sleep=sleep)
+        records = scan_manifest(tmp_path, city=cam.city)
         # 0.9 * 10 = 9 s cadence over 60 s of fake time
-        assert len(records) >= 6
+        assert count == len(records) >= 6
         assert all(r.status == "stored" for r in records)
 
     def test_cameras_from_a_generator(self, tmp_path):
@@ -706,9 +739,10 @@ class TestCrawl:
             )
             for i in range(2)
         )
-        records = crawl(
+        count = crawl(
             cams, FrameStore(tmp_path), duration_seconds=60,
             fetch=lambda url: url.encode(), clock=clock, sleep=sleep,
         )
+        records = scan_manifest(tmp_path, city="sydney")
         assert {r.camera_id for r in records} == {"cam0", "cam1"}
-        assert len(records) >= 12
+        assert count == len(records) >= 12

@@ -163,9 +163,6 @@ def _random_features(rng):
     from test_quality import feat
 
     return feat(
-        byte_size=int(rng.integers(0, 5000)),
-        width=10,
-        height=10,
         mean_intensity=float(rng.uniform(0, 255)),
         intensity_variance=float(rng.uniform(0, 500)),
         edge_density=float(rng.uniform(0, 1)),

@@ -26,9 +26,6 @@ from test_cli import dirty_city, random_frames, removed_rows, run_ok, store_city
 def feat(**kw):
     """A feature row, by FEATURES name."""
     base = dict(
-        byte_size=1000,
-        width=10,
-        height=10,
         mean_intensity=100.0,
         intensity_variance=50.0,
         edge_density=0.2,
@@ -48,34 +45,29 @@ def labeled_set(*pairs):
 
 
 class TestExtractFeatures:
-    def test_shape_and_byte_size(self):
-        f = fields(extract_features(np.zeros((6, 9), dtype=np.uint8), 27))
-        assert (f["byte_size"], f["width"], f["height"]) == (27, 9, 6)
-
     def test_uniform_gray(self):
-        f = fields(extract_features(np.full((10, 10), 128, dtype=np.uint8), 100))
+        f = fields(extract_features(np.full((10, 10), 128, dtype=np.uint8)))
         assert f["mean_intensity"] == 128.0
         assert f["intensity_variance"] == 0.0
         assert f["edge_density"] == 0.0
 
     def test_checkerboard_edges(self):
         board = np.indices((8, 8)).sum(axis=0) % 2 * 255
-        f = fields(extract_features(board.astype(np.uint8), 64))
+        f = fields(extract_features(board.astype(np.uint8)))
         assert f["edge_density"] == 1.0
 
     def test_deterministic(self):
         img = np.random.default_rng(0).integers(0, 256, (6, 6)).astype(np.uint8)
-        assert extract_features(img, 36).tobytes() == extract_features(img, 36).tobytes()
+        assert extract_features(img).tobytes() == extract_features(img).tobytes()
 
     def test_empty_bytes(self, tmp_path, monkeypatch):
         # an emptied file is ZeroSize and never reaches extract_features
         root = tmp_path / "data"
         cam1, cam2 = dirty_city(root)
-        sizes = record_feature_calls(monkeypatch)
+        calls = record_feature_calls(monkeypatch)
         removed = clean(root, "--labels", dirty_labels(tmp_path, cam1, cam2))
         assert removed[cam1[13]] == "ZeroSize"
-        assert min(sizes) > 0
-        assert len(sizes) == len(manifest_paths(root)) - 4  # kept by the rules
+        assert len(calls) == len(manifest_paths(root)) - 4  # kept by the rules
 
     def test_garbage_bytes(self, tmp_path, monkeypatch):
         # undecodable bytes are DecodeError and never reach extract_features
@@ -86,10 +78,10 @@ class TestExtractFeatures:
         store_city(root, {"cam1": frames[:3] + [b"not an image", template] + frames[3:]})
         paths = manifest_paths(root)
         labels = write_labels(tmp_path, [(paths[0], REGULAR), (paths[4], OUTLIER)])
-        sizes = record_feature_calls(monkeypatch)
+        calls = record_feature_calls(monkeypatch)
         removed = clean(root, "--labels", labels)
         assert removed[paths[3]] == "DecodeError"
-        assert len(sizes) == len(paths) - 1
+        assert len(calls) == len(paths) - 1
 
 
 def fading_city(root):
@@ -113,6 +105,29 @@ def fading_city(root):
     cut = root / paths[26]
     cut.write_bytes(cut.read_bytes()[:100])  # cut short after storing
     return paths
+
+
+def two_resolution_city(root, seed):
+    """Store two cameras of 100 frames, cam1 at 48x64 and cam2 at 24x32: a
+    background of 60 with noise and 1-7 bright vehicles, except that frames
+    16, 49 and 82 are flat 245 error templates with noise. Returns the
+    manifest's paths, cam1's then cam2's."""
+    rng = np.random.default_rng(seed)
+    payloads = {}
+    for camera_id, (h, w) in (("cam1", (48, 64)), ("cam2", (24, 32))):
+        payloads[camera_id] = []
+        for i in range(100):
+            if i % 33 == 16:
+                a = 245 + rng.normal(0, 4, (h, w))
+            else:
+                a = 60 + rng.normal(0, 4, (h, w))
+                for _ in range(rng.integers(1, 8)):
+                    vh, vw = rng.integers(h // 16, h // 6), rng.integers(w // 16, w // 6)
+                    y, x = rng.integers(0, h - vh), rng.integers(0, w - vw)
+                    a[y : y + vh, x : x + vw] = rng.integers(170, 230)
+            payloads[camera_id].append(write_p5(np.clip(np.rint(a), 0, 255).astype(np.uint8)))
+    store_city(root, payloads)
+    return manifest_paths(root)
 
 
 def oracle_frames():
@@ -157,16 +172,16 @@ def bits(*values):
 class TestFeatureOracles:
     def test_mean_and_variance_equal_fraction_oracle(self):
         for img in oracle_frames():
-            f = fields(extract_features(img, 1))
+            f = fields(extract_features(img))
             assert bits(f["mean_intensity"], f["intensity_variance"]) == bits(*exact_mean_var(img)), img.shape
 
     def test_mean_and_edge_density_equal_numpy(self):
         for img in oracle_frames():
-            f = fields(extract_features(img, 1))
+            f = fields(extract_features(img))
             assert bits(f["mean_intensity"], f["edge_density"]) == bits(*numpy_mean_edge(img)), img.shape
 
     def test_edge_cases(self):
-        one, column, constant, black, white = (fields(extract_features(img, 1)) for img in oracle_frames()[:5])
+        one, column, constant, black, white = (fields(extract_features(img)) for img in oracle_frames()[:5])
         assert (one["mean_intensity"], one["intensity_variance"], one["edge_density"]) == (7.0, 0.0, 0.0)
         assert column["edge_density"] == 0.0 and column["intensity_variance"] == 20 / 3
         assert (constant["mean_intensity"], constant["intensity_variance"]) == (93.0, 0.0)
@@ -177,15 +192,15 @@ class TestFeatureOracles:
         # numpy's two-pass var() rounds at every step; the exact ratio may
         # differ from it in the last few bits only
         for img in oracle_frames():
-            v = fields(extract_features(img, 1))["intensity_variance"]
+            v = fields(extract_features(img))["intensity_variance"]
             assert abs(v - img.var()) <= 4 * np.spacing(img.var()), img.shape
 
     def test_strided_view_equals_contiguous_copy(self):
         img = np.random.default_rng(3).integers(0, 256, (61, 81), dtype=np.uint8)
         for view in (img[:, ::2], img[::3], img.T, img[5:40, 7:70]):
             assert not view.flags.c_contiguous
-            row = extract_features(view, 9)
-            assert row.tobytes() == extract_features(np.ascontiguousarray(view), 9).tobytes()
+            row = extract_features(view)
+            assert row.tobytes() == extract_features(np.ascontiguousarray(view)).tobytes()
 
 
 def two_blob_features(n_reg, n_out, seed=0):
@@ -257,7 +272,7 @@ class TestClassify:
             cluster_labels=(REGULAR, OUTLIER),
             feature_mean=np.zeros(1),
             feature_std=np.ones(1),
-            kept_dims=(3,),  # mean_intensity drives the toy model
+            kept_dims=(0,),  # mean_intensity drives the toy model
         )
 
     def test_at_centroids(self):
@@ -313,16 +328,16 @@ def dirty_labels(tmp_path, cam1, cam2):
 
 
 def record_feature_calls(monkeypatch):
-    """Wrap quality.extract_features; returns the byte sizes it is given."""
-    sizes = []
+    """Wrap quality.extract_features; returns the frames it is given."""
+    frames = []
     extract = quality.extract_features
 
-    def recording(img, byte_size):
-        sizes.append(byte_size)
-        return extract(img, byte_size)
+    def recording(img):
+        frames.append(img)
+        return extract(img)
 
     monkeypatch.setattr(quality, "extract_features", recording)
-    return sizes
+    return frames
 
 
 class TestRuleFilter:
@@ -420,6 +435,16 @@ class TestCleanTrace:
         assert hashlib.sha256((root / "testcity" / "removed.csv").read_bytes()).hexdigest() == (
             "8526f89bcca1b7037e836678aa138660d19832c2bb90414d7c593198992aff25"
         )
+
+    def test_two_resolutions(self, tmp_path):
+        # when byte size, width and height were features, the resolution
+        # split outweighed the templates, and this city lost all six
+        root = tmp_path / "data"
+        paths = two_resolution_city(root, seed=11)
+        templates = [paths[i] for i in (16, 49, 82, 116, 149, 182)]
+        labels = [(p, REGULAR) for p in paths[::28]] + [(paths[i], OUTLIER) for i in (16, 82, 149)]
+        removed = clean(root, "--labels", write_labels(tmp_path, labels))
+        assert removed == dict.fromkeys(templates, "ClusterOutlier")
 
     def test_order_preserved(self, tmp_path):
         # cam2 is stored first; removed.csv still follows scan_manifest order
